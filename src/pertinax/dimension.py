@@ -160,7 +160,6 @@ def pertinency(
     D: int | None = None,
     window: int = DEFAULT_WINDOW,
     table: GradedIdealTable | None = None,
-    threads: int = 1,
 ) -> PertinencyResult:
     """GKdim(R) minus the growth of the quotient by the radical.
 
@@ -177,7 +176,7 @@ def pertinency(
     if table is None:
         if G is None:
             raise ValueError("pertinency needs a group or a precomputed table")
-        table = oracle_radical(R, G, D, threads=threads)
+        table = oracle_radical(R, G, D)
     if D is None:
         D = table.D
     h_R = hilbert(R, None, D)

@@ -25,7 +25,12 @@ def _build_argparser():
     runp.add_argument("--maxdeg", type=int, default=None, help="default truncation degree")
     runp.add_argument("--json", dest="json_path", default=None, help="also write the report here")
     runp.add_argument("--text", action="store_true", help="print a text summary instead of JSON")
-    runp.add_argument("--threads", type=int, default=1)
+    runp.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="echoed into the report's flags; no longer affects the computation",
+    )
     runp.add_argument("--seed", type=int, default=None)
     checkp = sub.add_parser("check", help="parse and validate a script")
     checkp.add_argument("script")
@@ -41,7 +46,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError("cannot read %s: %s" % (path, e))
 
 
@@ -83,6 +88,8 @@ def main(argv=None) -> int:
                     dump = algebra.gb.dump()
                     print(dump if dump else "  (free)")
             return 0
+        if args.maxdeg is not None and args.maxdeg < 1:
+            raise UsageError("--maxdeg must be at least 1")
         if args.threads < 1:
             raise UsageError("--threads must be at least 1")
         report, code = run(

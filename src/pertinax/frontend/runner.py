@@ -47,11 +47,10 @@ from .parser import (
 class Session:
     """Built objects for one script run."""
 
-    def __init__(self, script: SessionScript, default_maxdeg=None, threads=1):
+    def __init__(self, script: SessionScript, default_maxdeg=None):
         self.script = script
         self.field = cyclotomic_field(script.field.m)
-        self.default_maxdeg = default_maxdeg or DEFAULT_TRUNCATION
-        self.threads = max(1, threads)
+        self.default_maxdeg = DEFAULT_TRUNCATION if default_maxdeg is None else default_maxdeg
         self.algebras: dict = {}
         self._groups: dict = {}
         self._radicals: dict = {}
@@ -122,7 +121,7 @@ class Session:
         key = (aname, gname, D)
         if key not in self._radicals:
             self._radicals[key] = oracle_radical(
-                self.algebras[aname], self.group(gname, aname), D, threads=self.threads
+                self.algebras[aname], self.group(gname, aname), D
             )
         return self._radicals[key]
 
@@ -143,8 +142,12 @@ class Session:
 
 
 def run(script: SessionScript, maxdeg=None, threads=1, seed=None):
-    """Execute all tasks; returns (report dict, exit code)."""
-    session = Session(script, default_maxdeg=maxdeg, threads=threads)
+    """Execute all tasks; returns (report dict, exit code).
+
+    ``threads`` and ``seed`` only echo into the report's flags block; they
+    do not affect the computation.
+    """
+    session = Session(script, default_maxdeg=maxdeg)
     report = {
         "schema": 1,
         "generator": "pertinax %s" % __version__,

@@ -31,11 +31,21 @@ def trailing_block_rows(field, rows, split):
 
     With rows of the form ``[T(v) | V(v)]`` over a spanning set of v, the
     returned rows are a canonical basis of ``{V(v) : T(v) = 0}``: the image
-    of the kernel of T under V.  This single primitive drives the radical
-    oracle, fixed spaces and subspace intersections.
+    of the kernel of T under V.  This single primitive drives fixed spaces
+    and subspace intersections; the radical oracle applies
+    ``trailing_rows`` to echelon forms it keeps.
+    """
+    return trailing_rows(rref(field, rows), split)
+
+
+def trailing_rows(echelon, split):
+    """The rows of an RREF with pivot at column >= split, shifted by split.
+
+    Such rows vanish on every column below split, so they are a canonical
+    basis of the part of the row space supported on the trailing block.
     """
     out = []
-    for p, row in rref(field, rows):
+    for p, row in echelon:
         if p >= split:
             out.append((p - split, {c - split: v for c, v in row.items()}))
     return out

@@ -528,9 +528,9 @@ def _determinant_values(R, G):
     return out
 
 
-def is_semisimple_upto(R: GradedAlgebra, G: FiniteGroup, D: int | None = None, threads: int = 1):
+def is_semisimple_upto(R: GradedAlgebra, G: FiniteGroup, D: int | None = None):
     """True when the radical vanishes up to D; otherwise a minimal witness."""
-    table = oracle_radical(R, G, D, threads=threads)
+    table = oracle_radical(R, G, D)
     if table.is_zero():
         return True, None
     _, witness = table.first_nonzero()

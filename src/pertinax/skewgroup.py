@@ -1,16 +1,20 @@
 """The skew group algebra, graded ideal tables and the radical oracle.
 
-The oracle realizes the identity between the radical of a group action and
-the intersection of the base algebra with the two-sided ideal of the skew
-group algebra generated by the averaging idempotent.  Degree by degree it
-is a finite, exact linear problem: a sequence pair condition on monomial
-pairs whose kernel, pushed through plain multiplication, spans the degree
-component of the radical.
+The radical of the action is R cap (R#G) e (R#G), with R#G the skew group
+algebra and e = (1/|G|) sum_g g its averaging idempotent.  Degree by degree
+it is a finite, exact linear problem.  The oracle keeps W_d, the degree d
+part of the ideal generated by e, as a canonical echelon form over |G|
+blocks of the degree d basis, and builds it by the letter recursion
+
+    W_d = sum_x x W_{d - deg x} + e R_d    (x over the generators of R).
+
+This holds because R is connected graded and generated by its letters, so
+R_i = sum_x x R_{i - deg x} for i >= 1.  The radical rows are the rows of
+W_d supported on the identity block.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import kernel, linalg
@@ -390,18 +394,32 @@ def _same_frame(a: GradedIdealTable, b: GradedIdealTable):
         raise ValueError("tables over different algebras or bounds")
 
 
+def letter_images(R: GradedAlgebra, letter: int, d: int, left: bool):
+    """Coordinates of x * w (or w * x) for each degree d basis word w.
+
+    The images live over the basis of degree d + deg x; they are cached on
+    the algebra.  This is the one letter-multiplication primitive behind
+    ideal closure, the ideal check and the radical oracle.
+    """
+    cache = R._act_cache.setdefault(("letter", letter, left), {})
+    images = cache.get(d)
+    if images is None:
+        index = R.basis.index[d + R.alphabet.degrees[letter]]
+        images = []
+        for w in R.basis.words[d]:
+            prod = R.product_word_vec((letter,), w) if left else R.product_word_vec(w, (letter,))
+            images.append({index[t]: sc.raw for t, sc in prod.items()})
+        cache[d] = images
+    return images
+
+
 def _letter_product(R: GradedAlgebra, letter: int, d: int, vec, left: bool):
     """Coordinates of x_letter * v or v * x_letter for v in degree d."""
-    words = R.basis.words[d]
-    target = d + R.alphabet.degrees[letter]
-    index = R.basis.index[target]
-    field = R.field
+    images = letter_images(R, letter, d, left)
+    red = R.field.red
     out: dict = {}
     for c, raw in vec.items():
-        w = words[c]
-        prod = R.product_word_vec((letter,), w) if left else R.product_word_vec(w, (letter,))
-        for t, sc in prod.items():
-            kernel.dict_axpy(out, raw, {index[t]: sc.raw}, field.red)
+        kernel.dict_axpy(out, raw, images[c], red)
     return out
 
 
@@ -420,15 +438,26 @@ def vec_product(R: GradedAlgebra, i: int, j: int, u, v):
     return out
 
 
-def oracle_radical(
-    R: GradedAlgebra, G: FiniteGroup, D: int | None = None, threads: int = 1
-) -> GradedIdealTable:
+def oracle_radical(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> GradedIdealTable:
     """Exact degree-wise radical of the action, computed from first principles.
 
-    For each degree d, consider formal combinations of monomial pairs (u, v)
-    with deg u + deg v = d.  The pair condition requires u (g.v) to vanish
-    for every g != 1 simultaneously; the surviving combinations, multiplied
-    out as u v, span exactly the degree d component of the radical.
+    The radical is R cap (R#G) e (R#G).  Its degree d part is read off
+    W_d = sum_i R_i e R_{d-i}, the degree d part of the ideal generated by
+    e, kept as the canonical RREF of the rows sum_g r_g # g over |G| blocks
+    of h_d columns: the non-identity blocks first, the identity block
+    trailing.  Rows with their pivot in the trailing block are exactly the
+    elements of W_d supported on the identity, i.e. R_d cap W_d.
+
+    The rows are built by the letter recursion
+
+        W_d = sum_x x W_{d - deg x} + e R_d,
+
+    with x over the generators of R.  It holds because R is connected
+    graded and generated by its letters: R_i = sum_x x R_{i - deg x} for
+    i >= 1, so R_i e R_{d-i} = sum_x x (R_{i - deg x} e R_{d-i}).  Left
+    multiplication by x maps r # g to (x r) # g, block by block.  Since the
+    echelon form is canonical, the table equals the one spanned by every
+    monomial pair u e v.
     """
     if G.algebra is not R:
         raise ValueError("group acts on a different algebra")
@@ -436,64 +465,49 @@ def oracle_radical(
         D = R.D
     if D > R.D:
         raise TruncationExceeded("oracle degree beyond the algebra truncation")
-
-    def degree_component(d: int):
+    field = R.field
+    red = field.red
+    one = field.one.raw
+    k = G.order
+    letter_degrees = R.alphabet.degrees
+    span = max(letter_degrees)
+    W: dict = {}  # the last ``span`` echelon forms of W_d
+    rows = []
+    for d in range(D + 1):
         h = R.dim(d)
-        if h == 0:
-            return []
-        field = R.field
-        red = field.red
-        k = G.order
         split = (k - 1) * h
-        rows = []
-        for i in range(d + 1):
-            j = d - i
-            words_i = R.basis.words[i]
-            words_j = R.basis.words[j]
-            if not words_i or not words_j:
+        vecs = []
+        for letter, dx in enumerate(letter_degrees):
+            lower = W.get(d - dx)
+            if not lower:
                 continue
-            index_d = R.basis.index[d]
-            gcols = [G.elements[gi].matrix_on_degree(j) for gi in range(1, k)]
-            for u in words_i:
-                # products of u against the whole degree-j basis, reused per v
-                prods = [
-                    {index_d[t]: sc.raw for t, sc in R.product_word_vec(u, w).items()}
-                    for w in words_j
-                ]
-                for cv in range(len(words_j)):
-                    row: dict = {}
-                    for b in range(k - 1):
-                        base = b * h
-                        for cj, raw in gcols[b][cv].items():
-                            for t, val in prods[cj].items():
-                                key = base + t
-                                cur = row.get(key)
-                                if cur is None:
-                                    w = kernel.q_mul(raw, val, red)
-                                    if not kernel.q_is_zero(w):
-                                        row[key] = w
-                                else:
-                                    w = kernel.q_add(cur, kernel.q_mul(raw, val, red))
-                                    if kernel.q_is_zero(w):
-                                        del row[key]
-                                    else:
-                                        row[key] = w
-                    for t, val in prods[cv].items():
-                        row[split + t] = val
-                    rows.append(row)
-        return linalg.trailing_block_rows(field, rows, split)
-
-    degrees = range(D + 1)
-    if threads > 1:
-        # populate the shared action and product caches up front so the
-        # worker threads only read them
-        for gi in range(1, G.order):
-            for d in degrees:
-                G.elements[gi].matrix_on_degree(d)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(degree_component, degrees))
-    else:
-        rows = [degree_component(d) for d in degrees]
+            # x (r # g) = (x r) # g: the letter images, shifted into each block
+            images = letter_images(R, letter, d - dx, left=True)
+            shifted = [
+                {block * h + t: v for t, v in img.items()}
+                for block in range(k)
+                for img in images
+            ]
+            for _, wrow in lower:
+                out: dict = {}
+                for col, raw in wrow.items():
+                    kernel.dict_axpy(out, raw, shifted[col], red)
+                if out:
+                    vecs.append(out)
+        # |G| e v = sum_g (g.v) # g for v in the degree d basis
+        gcols = [G.elements[gi].matrix_on_degree(d) for gi in range(1, k)]
+        for c in range(h):
+            row = {}
+            for b in range(k - 1):
+                base = b * h
+                for t, raw in gcols[b][c].items():
+                    row[base + t] = raw
+            row[split + c] = one
+            vecs.append(row)
+        echelon = linalg.rref(field, vecs)
+        W[d] = echelon
+        W.pop(d - span, None)
+        rows.append(linalg.trailing_rows(echelon, split))
     return GradedIdealTable(R, D, rows, "oracle")
 
 

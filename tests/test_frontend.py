@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pertinax.errors import ConductorTooSmall, ParseError
+from pertinax.frontend import cli
 from pertinax.frontend.parser import parse
 from pertinax.frontend.runner import run
 from pertinax.galgebra import make_downup, make_skew_symmetric
@@ -219,6 +220,42 @@ def test_cli_exit_codes(tmp_path):
     proc = _cli(["run", str(nonauto)])
     assert proc.returncode == 2
     assert "NotFiniteWithinBound" in proc.stderr or "NotAnAutomorphism" in proc.stderr
+
+
+NO_MAXDEG = (
+    "field cyclotomic(2);\nalgebra R = commutative(2);\n"
+    "group G = matrices { s: [[0,1],[1,0]]; };\ntask radical R G;\n"
+)
+
+
+def _main_error(capsys, argv):
+    """Run cli.main in process; returns its exit code and stderr lines."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.splitlines()
+
+
+def test_cli_maxdeg_zero_is_a_usage_error(tmp_path, capsys):
+    script = tmp_path / "s.ptx"
+    script.write_text(NO_MAXDEG)
+    code, err = _main_error(capsys, ["run", str(script), "--maxdeg", "0"])
+    assert code == 1 and err == ["error: --maxdeg must be at least 1"]
+
+
+def test_cli_negative_maxdeg_is_a_usage_error(tmp_path, capsys):
+    script = tmp_path / "s.ptx"
+    script.write_text(NO_MAXDEG)
+    code, err = _main_error(capsys, ["run", str(script), "--maxdeg", "-3"])
+    assert code == 1 and err == ["error: --maxdeg must be at least 1"]
+
+
+def test_cli_non_utf8_script_is_a_usage_error(tmp_path, capsys):
+    script = tmp_path / "s.ptx"
+    script.write_bytes(b"\xff\xfe" + NO_MAXDEG.encode("utf-8"))
+    code, err = _main_error(capsys, ["run", str(script)])
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: cannot read %s: " % script)
 
 
 def test_cli_json_output_file(tmp_path):

@@ -158,12 +158,6 @@ def test_table_algebra(QQ):
     assert I.power(2).rows == GradedIdealTable.ideal_from_generators(R, [x * x], 6).rows
 
 
-def test_threaded_oracle_matches(QQ):
-    R = make_commutative(QQ, 2, 6)
-    G = group_generate([LinearAuto(R, [[0, 1], [1, 0]])])
-    assert oracle_radical(R, G, 6).rows == oracle_radical(R, G, 6, threads=3).rows
-
-
 def test_skew_mul_truncation_guard(QQ):
     from pertinax.errors import TruncationExceeded
 
