@@ -605,9 +605,11 @@ class _Parser:
         kind = self.expect_ident("algebra constructor")
         if kind.value == "commutative":
             self.expect_punct("(")
-            n = self.expect_int().value
+            tok = self.expect_int()
+            if tok.value < 1:
+                self.error("commutative needs at least one generator", tok)
             self.expect_punct(")")
-            expr = CommutativeExpr(n)
+            expr = CommutativeExpr(tok.value)
         elif kind.value == "quantum_affine":
             self.expect_punct("(")
             expr = QuantumAffineExpr(self.parse_matrix())
@@ -855,6 +857,17 @@ def _validate_task(script, declared, task: TaskDecl):
         decl = declared.get(arg)
         if decl is None or not isinstance(decl, kinds[want]):
             raise ParseError("undeclared %s %r" % (want, arg), line, col)
+    if "group" in sig:
+        aname, gname = task.args[-2:]
+        n = len(_algebra_gen_names(script, aname))
+        size = len(declared[gname].items[0][1])  # all matrices share it
+        if size != n:
+            raise ParseError(
+                "group %s acts by %dx%d matrices, but %s has %d generators"
+                % (gname, size, size, aname, n),
+                line,
+                col,
+            )
     allowed = _TASK_OPTIONS[task.kind]
     for key, value in task.options:
         if key not in allowed:

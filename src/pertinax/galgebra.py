@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BadQMatrix, DegenerateQuotient, TruncationExceeded
+from .errors import BadQMatrix, DegenerateQuotient, NotGraded, TruncationExceeded
 from .freealgebra import Alphabet, FreePoly, Word
 from .gbasis import QuotientBasis, TruncatedGB, gb_complete
 from .scalars import CycField, Scalar
@@ -329,7 +329,7 @@ def quotient_by_ideal(R: GradedAlgebra, gens, D: int | None = None) -> GradedAlg
         if p.is_zero():
             continue
         if not p.is_homogeneous():
-            raise ValueError("ideal generators must be homogeneous")
+            raise NotGraded("quotient generator %s is not homogeneous" % p)
         if p.degree() == 0:
             raise DegenerateQuotient("degree 0 generator collapses the quotient to zero")
         polys.append(p)

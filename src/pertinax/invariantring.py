@@ -1,10 +1,12 @@
 """The invariant subalgebra: bases, generators, cofinality and normality.
 
 The fixed space in each degree is the kernel of the stacked maps g - id;
-generators are extracted greedily by degree, modulo products of lower
-degree invariants.  Cofinality certificates compare the power filtrations
-of the radical and of the invariant part of the radical inside the ambient
-algebra, degree-wise up to the truncation bound.
+generators are extracted greedily by degree, modulo the products of the
+generators already chosen with lower degree invariants.  Cofinality
+certificates compare the power filtrations of the radical and of the
+invariant part of the radical inside the ambient algebra, degree-wise up
+to the truncation bound; the ideal products behind them close over letter
+multiplication (``GradedIdealTable.product``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from . import kernel, linalg
 from .action import FiniteGroup
 from .errors import TruncationExceeded
 from .galgebra import AlgElement, GradedAlgebra
-from .skewgroup import GradedIdealTable, intersect_with_invariants, oracle_radical, vec_product
+from .skewgroup import (
+    GradedIdealTable,
+    intersect_with_invariants,
+    letter_closure,
+    oracle_radical,
+    vec_product,
+)
 
 
 class InvariantRing:
@@ -53,7 +61,21 @@ class InvariantRing:
 
 
 def invariants_basis(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> InvariantRing:
-    """Fixed spaces per degree plus a generator list minimal up to D."""
+    """Fixed spaces per degree plus a generator list minimal up to D.
+
+    The generators of degree d are the rows of A_d kept modulo (A_+^2)_d,
+    where A is the invariant subalgebra.  That span is built as
+
+        (A_+^2)_d = sum_g g A_{d - deg g},
+
+    with g over the generators already chosen, all of degree < d.  It is
+    exact: the generators of degree < d generate every A_i with i < d, so
+    each element of A_i (i >= 1) is a sum of products whose leftmost factor
+    is a generator g, i.e. A_i = sum_g g A_{i - deg g}.  Hence A_i A_{d-i}
+    lies in sum_g g A_{d - deg g}, and conversely g A_{d - deg g} lies in
+    A_{deg g} A_{d - deg g} with both degrees at least 1.  This takes
+    sum_g dim A_{d - deg g} products instead of sum_i dim A_i dim A_{d-i}.
+    """
     if D is None:
         D = R.D
     if D > R.D:
@@ -89,20 +111,20 @@ def invariants_basis(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> 
     rows = tuple(tuple(rs) for rs in rows)
 
     generators = []
+    chosen = []  # (degree, coordinates) of each generator
     for d in range(1, D + 1):
         if not rows[d]:
             continue
-        prod_vecs = []
-        for i in range(1, d):
-            j = d - i
-            for _, u in rows[i]:
-                for _, v in rows[j]:
-                    prod_vecs.append(vec_product(R, i, j, u, v))
+        # (A_+^2)_d = sum_g g A_{d - deg g} over the generators chosen so far
+        prod_vecs = [
+            vec_product(R, dg, d - dg, cg, v) for dg, cg in chosen for _, v in rows[d - dg]
+        ]
         span = linalg.rref(field, prod_vecs)
         for _, row in rows[d]:
             residue = linalg.reduce_vec(field, row, span)
             if residue:
                 generators.append((R.vector_to_element(d, residue), d))
+                chosen.append((d, residue))
                 span = linalg.rref(field, [dict(r) for _, r in span] + [dict(residue)])
     return InvariantRing(R, G, D, rows, generators)
 
@@ -207,7 +229,7 @@ def cofinality_check(
     a_power = aa
     start = 1
     for s in range(1, s_max + 1):
-        asR = a_power.product(full)
+        asR = aR if s == 1 else a_power.product(full)
         n_found = None
         vacuous = False
         n = start
@@ -239,6 +261,13 @@ def normality_check(
     An element is normal precisely when its left and right multiples agree
     as subspaces in every degree; in_A is None for elements outside the
     invariant subalgebra.
+
+    For in_R, aR and Ra are the closures of {a} under right and under left
+    letter multiplication: since R_d = sum_x R_{d - deg x} x, the degree
+    da + d part of aR is sum_x (aR)_{da + d - deg x} x (plus a itself at
+    d = 0), and mirrored for Ra.  Their canonical rows are compared.  For
+    in_A, a is multiplied by every invariant basis row, since A is not
+    generated by letters.
     """
     if D is None:
         D = R.D
@@ -252,16 +281,10 @@ def normality_check(
             out.append({"element": a, "in_R": True, "in_A": True})
             continue
         ca = R.coords(a, da)
-        in_R = True
-        for d in range(0, D - da + 1):
-            left_rows, right_rows = [], []
-            for j in range(R.dim(d)):
-                unit = {j: field.one.raw}
-                left_rows.append(vec_product(R, da, d, ca, unit))
-                right_rows.append(vec_product(R, d, da, unit, ca))
-            if linalg.rref(field, left_rows) != linalg.rref(field, right_rows):
-                in_R = False
-                break
+        seeds = {da: [ca]}
+        aR = letter_closure(R, lambda d: seeds.get(d, ()), D, left=False, right=True)
+        Ra = letter_closure(R, lambda d: seeds.get(d, ()), D, left=True, right=False)
+        in_R = aR == Ra
         in_A = None
         if inv is not None and inv.contains(a):
             in_A = True

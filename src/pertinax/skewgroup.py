@@ -10,7 +10,9 @@ blocks of the degree d basis, and builds it by the letter recursion
 
 This holds because R is connected graded and generated by its letters, so
 R_i = sum_x x R_{i - deg x} for i >= 1.  The radical rows are the rows of
-W_d supported on the identity block.
+W_d supported on the identity block.  The same argument drives
+``letter_closure``, which builds ideal closures and ideal products of
+graded tables from the rows of lower degrees.
 """
 
 from __future__ import annotations
@@ -205,18 +207,7 @@ class GradedIdealTable:
             for d, part in parts.items():
                 if d <= D:
                     by_degree.setdefault(d, []).append(R.coords(part, d))
-        field = R.field
-        rows: list = []
-        for d in range(D + 1):
-            vecs = [dict(v) for v in by_degree.get(d, [])]
-            for i, deg_i in enumerate(R.alphabet.degrees):
-                lower = d - deg_i
-                if lower < 0 or lower >= len(rows):
-                    continue
-                for _, row in rows[lower]:
-                    vecs.append(_letter_product(R, i, lower, row, left=True))
-                    vecs.append(_letter_product(R, i, lower, row, left=False))
-            rows.append(linalg.rref(field, vecs))
+        rows = letter_closure(R, lambda d: by_degree.get(d, ()), D, left=True, right=True)
         return cls(R, D, rows, tag)
 
     # -- queries -------------------------------------------------------------
@@ -298,21 +289,51 @@ class GradedIdealTable:
         return GradedIdealTable(self.algebra, self.D, rows, tag or self.tag)
 
     def product(self, other: "GradedIdealTable", tag=None) -> "GradedIdealTable":
-        """Degree-wise span of pairwise products; the ideal product for ideals."""
+        """Degree-wise span of pairwise products; the ideal product for ideals.
+
+        (IJ)_d = sum_i I_i J_{d-i}.  When I is a left ideal (x I_i inside
+        I_{i + deg x} for every letter x, up to D), pick N_i, a complement of
+        sum_x x I_{i - deg x} in I_i.  Then I_i = sum_x x I_{i - deg x} + N_i,
+        so by induction on i every I_i J_{d-i} lies in
+        sum_x x (IJ)_{d - deg x} + N_i J_{d-i}; conversely x (IJ) lies in
+        (RI) J, inside IJ.  Hence
+
+            (IJ)_d = sum_x x (IJ)_{d - deg x} + sum_i N_i J_{d-i},
+
+        built from the canonical rows of the lower degrees.  Otherwise, when
+        J is a right ideal, the mirrored form with M_j, a complement of
+        sum_x J_{j - deg x} x in J_j, holds:
+
+            (IJ)_d = sum_x (IJ)_{d - deg x} x + sum_j I_{d-j} M_j.
+
+        With J = R, M is the unit and (aR)_d = sum_x (aR)_{d - deg x} x + a_d.
+        Which form applies is decided exactly from the tables
+        (``one_sided_generators``); when neither factor is a one-sided ideal,
+        as for powers of the invariant part of the radical, every pair of
+        rows is multiplied.  The echelon form is canonical, so all three
+        give the rows of the pairwise span.
+        """
         _same_frame(self, other)
         R = self.algebra
-        field = R.field
-        rows = []
-        for d in range(self.D + 1):
-            vecs = []
-            for i in range(d + 1):
-                j = d - i
-                if not self.rows[i] or not other.rows[j]:
-                    continue
-                for _, u in self.rows[i]:
-                    for _, v in other.rows[j]:
-                        vecs.append(vec_product(R, i, j, u, v))
-            rows.append(linalg.rref(field, vecs))
+        left_rows, right_rows = self.rows, other.rows
+        sides = (False, False)
+        gens = one_sided_generators(self, left=True)
+        if gens is not None:
+            left_rows, sides = gens, (True, False)
+        else:
+            gens = one_sided_generators(other, left=False)
+            if gens is not None:
+                right_rows, sides = gens, (False, True)
+
+        def seeds(d):
+            return [
+                vec_product(R, i, d - i, u, v)
+                for i in range(d + 1)
+                for _, u in left_rows[i]
+                for _, v in right_rows[d - i]
+            ]
+
+        rows = letter_closure(R, seeds, self.D, *sides)
         return GradedIdealTable(R, self.D, rows, tag or self.tag)
 
     def power(self, n: int, tag=None) -> "GradedIdealTable":
@@ -327,19 +348,13 @@ class GradedIdealTable:
 
     def is_two_sided_ideal_upto(self) -> bool:
         """Letter multiples of each component land in the next components."""
-        R = self.algebra
-        field = R.field
-        for d in range(self.D + 1):
-            for i, deg_i in enumerate(R.alphabet.degrees):
-                lower = d - deg_i
-                if lower < 0:
-                    continue
-                for _, row in self.rows[lower]:
-                    for left in (True, False):
-                        vec = _letter_product(R, i, lower, row, left=left)
-                        if not linalg.in_span(field, vec, self.rows[d]):
-                            return False
-        return True
+        field = self.algebra.field
+        return all(
+            linalg.in_span(field, vec, self.rows[d])
+            for d in range(self.D + 1)
+            for left in (True, False)
+            for vec in _letter_multiples(self.algebra, self.rows, d, left)
+        )
 
     def is_g_stable(self, G: FiniteGroup) -> bool:
         field = self.algebra.field
@@ -423,18 +438,83 @@ def _letter_product(R: GradedAlgebra, letter: int, d: int, vec, left: bool):
     return out
 
 
+def _letter_multiples(R: GradedAlgebra, rows, d: int, left: bool):
+    """The vectors x * v (or v * x) in degree d, x over the letters and v
+    over the rows of degree d - deg x of a per-degree echelon list."""
+    out = []
+    for letter, dx in enumerate(R.alphabet.degrees):
+        lower = d - dx
+        if lower < 0:
+            continue
+        for _, row in rows[lower]:
+            out.append(_letter_product(R, letter, lower, row, left))
+    return out
+
+
+def letter_closure(R: GradedAlgebra, seeds, D: int, left: bool, right: bool):
+    """Per-degree canonical rows of T_d = seeds(d) + sum_x x T_{d - deg x}
+    (when ``left``) + sum_x T_{d - deg x} x (when ``right``), for d <= D.
+
+    With both sides this is the two-sided ideal generated by the seeds, with
+    one side the one-sided ideal, with neither the span of the seeds.  The
+    letter images come from the cached ``letter_images``.
+    """
+    field = R.field
+    rows: list = []
+    for d in range(D + 1):
+        vecs = list(seeds(d))
+        if left:
+            vecs += _letter_multiples(R, rows, d, left=True)
+        if right:
+            vecs += _letter_multiples(R, rows, d, left=False)
+        rows.append(linalg.rref(field, vecs))
+    return rows
+
+
+def one_sided_generators(table: GradedIdealTable, left: bool):
+    """Per degree, echelon rows N_d completing sum_x x T_{d - deg x} to T_d, or None.
+
+    The images of T_{d - deg x} under the letters on the chosen side are
+    echelonised; T is a left (right) ideal up to D exactly when they lie in
+    T_d for every d <= D, and None is returned otherwise.  The rows of T_d
+    whose pivot is not a pivot of the images form a complement: distinct
+    leading columns outside the images' pivots make them independent modulo
+    the images, and there are dim T_d minus dim(images) of them.  Then T is
+    generated by the N_d on that side.
+    """
+    R = table.algebra
+    field = R.field
+    out = []
+    for d in range(table.D + 1):
+        images = linalg.rref(field, _letter_multiples(R, table.rows, d, left))
+        if not linalg.span_contains(field, images, table.rows[d]):
+            return None
+        pivots = {p for p, _ in images}
+        out.append([(p, row) for p, row in table.rows[d] if p not in pivots])
+    return out
+
+
 def vec_product(R: GradedAlgebra, i: int, j: int, u, v):
     """Coordinates of the product of coordinate vectors in degrees i and j."""
     words_i, words_j = R.basis.words[i], R.basis.words[j]
     index = R.basis.index[i + j]
-    field = R.field
+    red = R.field.red
+    q_mul, q_add, q_is_zero = kernel.q_mul, kernel.q_add, kernel.q_is_zero
     out: dict = {}
     for ci, cu in u.items():
         wu = words_i[ci]
         for cj, cv in v.items():
-            c = kernel.q_mul(cu, cv, field.red)
+            c = q_mul(cu, cv, red)
             for t, sc in R.product_word_vec(wu, words_j[cj]).items():
-                kernel.dict_axpy(out, c, {index[t]: sc.raw}, field.red)
+                k = index[t]
+                w = q_mul(c, sc.raw, red)
+                cur = out.get(k)
+                if cur is not None:
+                    w = q_add(cur, w)
+                if q_is_zero(w):
+                    out.pop(k, None)
+                else:
+                    out[k] = w
     return out
 
 

@@ -258,6 +258,34 @@ def test_cli_non_utf8_script_is_a_usage_error(tmp_path, capsys):
     assert err[0].startswith("error: cannot read %s: " % script)
 
 
+@pytest.mark.parametrize(
+    "body, code, message",
+    [
+        (
+            "algebra R = commutative(0);",
+            1,
+            "error: 2:25: commutative needs at least one generator",
+        ),
+        (
+            "algebra R = commutative(2);\n"
+            "group G = matrices { g: [[1, 0, 0], [0, 1, 0], [0, 0, -1]]; };\n"
+            "task radical R G;",
+            1,
+            "error: 4:1: group G acts by 3x3 matrices, but R has 2 generators",
+        ),
+        (
+            "algebra R = commutative(2);\nalgebra Q = quotient(R, [x + y^2]);",
+            2,
+            "NotGraded: quotient generator x + y^2 is not homogeneous",
+        ),
+    ],
+)
+def test_cli_malformed_algebras_and_groups_fail_in_one_line(tmp_path, capsys, body, code, message):
+    script = tmp_path / "s.ptx"
+    script.write_text("field cyclotomic(2);\n" + body + "\n")
+    assert _main_error(capsys, ["run", str(script), "--maxdeg", "3"]) == (code, [message])
+
+
 def test_cli_json_output_file(tmp_path):
     out = tmp_path / "report.json"
     proc = _cli(["run", "fixtures/kx_sign.ptx", "--json", str(out), "--text"])
