@@ -122,8 +122,8 @@ class GradedAlgebra:
         return AlgElement(self, FreePoly(self.alphabet, self.field, terms))
 
     def product_word_vec(self, u: Word, v: Word) -> dict:
-        """Normal form of u*v as a term dict over normal words (cached)."""
-        return self.gb.nf_word(u + v)
+        """Normal form of u*v as a term dict over normal words, for normal u, v."""
+        return self.gb.nf_product(u, v)
 
 
 class AlgElement:

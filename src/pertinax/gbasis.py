@@ -99,6 +99,40 @@ class TruncatedGB:
         self._nf_cache[word] = out
         return out
 
+    def nf_product(self, u: Word, v: Word) -> dict:
+        """Normal form of u*v for normal words u and v, as a term dict.
+
+        The shorter word is multiplied onto the other one letter at a time,
+        so ``nf_word`` is only asked for a normal word times a letter on
+        either side.  Its memo then stays within the words that letter
+        multiplication of the basis reaches, whichever products are asked
+        for; memoizing each u + v would grow with the supports of the
+        vectors being multiplied.
+        """
+        if len(v) <= len(u):
+            terms, letters, left = self.nf_word(u + v[:1]), v[1:], False
+        else:
+            terms, letters, left = self.nf_word(u[-1:] + v), reversed(u[:-1]), True
+        nf_word = self.nf_word
+        one = self.field.one.raw
+        for letter in letters:
+            if len(terms) == 1:
+                ((w, c),) = terms.items()
+                prod = nf_word((letter,) + w if left else w + (letter,))
+                terms = prod if c.raw == one else {t: c * ct for t, ct in prod.items()}
+                continue
+            out: dict = {}
+            for w, c in terms.items():
+                for t, ct in nf_word((letter,) + w if left else w + (letter,)).items():
+                    cur = out.get(t)
+                    s = c * ct if cur is None else cur + c * ct
+                    if s:
+                        out[t] = s
+                    elif cur is not None:
+                        del out[t]
+            terms = out
+        return terms
+
     def normal_form(self, f: FreePoly) -> FreePoly:
         """The unique irreducible representative of f modulo the ideal."""
         deg = f.degree()
