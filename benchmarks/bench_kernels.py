@@ -1,9 +1,11 @@
 """Benchmark the compiled kernel against the pure Python kernel.
 
-Runs three workloads through both backends: raw scalar arithmetic in
-Q(zeta_12), the sparse echelon reduction of an oracle-sized matrix, and an
-end-to-end radical oracle on the skew 3-space with the cube-root diagonal
-action.  The end-to-end runs happen in subprocesses so that each one picks
+Runs four workloads through both backends: raw scalar arithmetic in
+Q(zeta_12), the sparse echelon reduction of a random matrix over Q(zeta_12),
+the sparse echelon reduction of a tall rational matrix shaped like the
+radical oracle's degree-d rows (which the pure kernel eliminates over the
+integers), and an end-to-end radical oracle on the skew 3-space with the
+cube-root diagonal action.  The end-to-end runs happen in subprocesses so that each one picks
 its backend at import time, exactly as a user install would.
 """
 
@@ -65,6 +67,26 @@ def bench_rref(impl, field, nrows=160, width=60, fill=0.10, reps=2):
     return (time.perf_counter() - t0) / reps
 
 
+def bench_rational_rref(impl, field, nrows=3000, width=200, band=12, reps=3):
+    """Tall sparse rows like the oracle's W_d: 2 to 5 entries of small
+    rationals (numerators +-1, +-2, denominators 1 or 2) within a band."""
+    rng = random.Random(3)
+    zeros = (0,) * (field.phi - 1)
+    rows = []
+    for _ in range(nrows):
+        base = rng.randrange(width - band + 1)
+        row = {}
+        for col in rng.sample(range(base, base + band), rng.randint(2, 5)):
+            row[col] = impl.q_normalize(
+                (rng.choice((-2, -1, 1, 2)),) + zeros, rng.choice((1, 1, 2))
+            )
+        rows.append(row)
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        impl.rref([dict(r) for r in rows], field.red, field.minpoly)
+    return (time.perf_counter() - t0) / reps
+
+
 def bench_oracle_subprocess(pure: bool) -> float:
     code = (
         "import time\n"
@@ -100,15 +122,13 @@ def main():
     for name, impl in load_backends():
         t_scalar = bench_scalars(impl, field)
         t_rref = bench_rref(impl, field)
-        rows.append((name, t_scalar, t_rref))
-    print("%-8s  %14s  %14s" % ("kernel", "scalar ops", "sparse rref"))
-    for name, t_scalar, t_rref in rows:
-        print("%-8s  %14.3f  %14.3f" % (name, t_scalar, t_rref))
+        t_rational = bench_rational_rref(impl, cyclotomic_field(3))
+        rows.append((name, t_scalar, t_rref, t_rational))
+    print("%-8s  %14s  %14s  %14s" % ("kernel", "scalar ops", "sparse rref", "rational rref"))
+    for name, *times in rows:
+        print("%-8s  %14.3f  %14.3f  %14.3f" % (name, *times))
     if len(rows) == 2:
-        print(
-            "speedup:  %13.2fx  %13.2fx"
-            % (rows[0][1] / rows[1][1], rows[0][2] / rows[1][2])
-        )
+        print("speedup:  " + "  ".join("%13.2fx" % (p / c) for p, c in zip(rows[0][1:], rows[1][1:])))
 
     print("\nend-to-end radical oracle (skew 3-space, cube roots, degree 8)")
     results = {}

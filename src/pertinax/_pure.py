@@ -13,8 +13,17 @@ Two context objects parameterize the field and are passed explicitly:
 * ``minpoly`` -- integer coefficients of the cyclotomic polynomial,
   lowest degree first, length ``phi+1``, monic.
 
+``rref`` eliminates a matrix whose entries are all rational (every zeta
+coordinate zero) over the integers instead, fraction-free: most matrices
+of real runs are such, even over Q(zeta_3) or Q(zeta_6), and integer steps
+skip the cyclotomic products and the normalisation of every intermediate
+scalar.  It is exact with no check or fallback, because the RREF over Q of
+a rational matrix is its RREF over Q(zeta); the output is the same raw
+scalars in normal form.
+
 The compiled twin of this module is ``pertinax._speedups``; both expose
-the same functions and are interchangeable (see ``pertinax.kernel``).
+the same functions and are interchangeable (see ``pertinax.kernel``).  The
+twin has no integer path.
 """
 
 from fractions import Fraction
@@ -213,7 +222,21 @@ def rref(rows, red, minpoly):
     canonical list of ``(pivot_col, rowdict)`` sorted by pivot column with
     unit pivots and zeros above and below every pivot.  Canonicity makes
     equality of row spaces testable as equality of outputs.
+
+    When every entry is rational (all zeta coordinates zero), the rows go
+    to the integer path: ``_integer_rows`` clears denominators and
+    ``_integer_rref`` eliminates fraction-free over Z.  Any other matrix is
+    eliminated in the field below.  The two paths give identical output:
+    no step of either leaves the row space (rows are scaled by nonzero
+    rationals, multiples of other rows are added, and repeats of a unit
+    row are dropped), the RREF of a row space is unique, and the RREF over
+    Q of a rational matrix is also its RREF over Q(zeta).
     """
+    rows = list(rows)
+    phi = len(minpoly) - 1
+    int_rows = _integer_rows(rows, phi)
+    if int_rows is not None:
+        return _integer_rref(int_rows, phi)
     pivots = {}
     for row in rows:
         row = dict(row)
@@ -263,3 +286,116 @@ def rref(rows, red, minpoly):
                     else:
                         row[col] = w
     return [(p, pivots[p]) for p in sorted(pivots)]
+
+
+def _integer_rows(rows, phi):
+    """The rows as integer dicts with denominators cleared, if all rational.
+
+    Each row is scaled by the lcm of its denominators, so it spans the same
+    line; a row with a single entry at column c spans the line of the unit
+    vector e_c and is kept once per c.  Returns ``None`` if an entry has a
+    nonzero zeta coordinate.
+    """
+    if phi > 1:
+        for row in rows:
+            for nums, _ in row.values():
+                if any(nums[1:]):
+                    return None
+    out = []
+    units = set()
+    for row in rows:
+        if len(row) == 1:
+            (c,) = row
+            if c not in units and row[c][0][0]:
+                units.add(c)
+                out.append({c: 1})
+            continue
+        ints = {}
+        den = 1
+        for c, (nums, d) in row.items():
+            if nums[0]:
+                ints[c] = nums[0]
+                if d != 1:
+                    den = den * d // gcd(den, d)
+        if den != 1:
+            ints = {c: v * (den // row[c][1]) for c, v in ints.items()}
+        out.append(ints)
+    return out
+
+
+def _primitive(row, lead):
+    """Divide a nonzero integer row by its content, leading entry positive."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+def _clear(row, prow, q):
+    """Fraction-free step: zero entry q of ``row`` with the pivot row at q.
+
+    With a = prow[q], c = row[q] and g = gcd(a, c) this is
+    row <- (a/g) row - (c/g) prow.  ``row`` loses its entry at q in place;
+    the result may be a new dict.
+    """
+    c = row.pop(q)
+    a = prow[q]
+    g = gcd(a, c)
+    if g != 1:
+        a //= g
+        c //= g
+    if a != 1:
+        row = {col: a * v for col, v in row.items()}
+    for col, v in prow.items():
+        if col != q:
+            w = row.get(col, 0) - c * v
+            if w:
+                row[col] = w
+            else:
+                del row[col]
+    return row
+
+
+def _integer_rref(rows, phi):
+    """Canonical RREF of integer rows, as raw scalars with ``phi`` coordinates.
+
+    Fraction-free Gauss-Jordan elimination (cf. Bareiss, Math. Comp. 1968):
+    every step is ``_clear``, which scales a row by a nonzero integer and
+    subtracts a multiple of a pivot row.  Pivot rows are stored primitive
+    with a positive leading entry a, and dividing by a at the end gives the
+    unit-pivot rows in normal form.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = _primitive(row, lead)
+                break
+            row = _clear(row, prow, lead)
+    # back substitution, highest pivot first, yields the Jordan form
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        qs = [q for q in row if q != p and q in pivots]
+        if qs:
+            for q in qs:
+                row = _clear(row, pivots[q], q)
+            pivots[p] = _primitive(row, p)
+    zeros = (0,) * (phi - 1)
+    one = ((1,) + zeros, 1)
+    out = []
+    for p in sorted(pivots):
+        row = pivots[p]
+        a = row[p]
+        scaled = {}
+        for col, v in row.items():
+            if col == p:
+                scaled[col] = one
+            else:
+                g = gcd(v, a)
+                scaled[col] = ((v // g,) + zeros, a // g)
+        out.append((p, scaled))
+    return out

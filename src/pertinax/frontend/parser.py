@@ -33,6 +33,13 @@ KEYWORDS = {
     "rels",
 }
 
+# Size caps checked at parse time (docs/dsl.md).  Beyond them a run stalls
+# before its first task: the field's reduction data has about phi(m)^2
+# entries, and the Groebner completion of commutative(n) pairs up its
+# n(n-1)/2 relations (commutative(64) takes seconds).
+MAX_CONDUCTOR = 1000
+MAX_GENERATORS = 64
+
 TASK_KINDS = ("radical", "pertinency", "invariants", "cofinality", "verify", "semisimple")
 
 STRATEGY_NAMES = {
@@ -596,6 +603,8 @@ class _Parser:
         self.expect_punct(";")
         if m < 1:
             self.error("conductor must be positive", t)
+        if m > MAX_CONDUCTOR:
+            self.error("conductor must be at most %d" % MAX_CONDUCTOR, t)
         return FieldDecl(m, (t.line, t.col))
 
     def parse_algebra(self) -> AlgebraDecl:
@@ -608,11 +617,13 @@ class _Parser:
             tok = self.expect_int()
             if tok.value < 1:
                 self.error("commutative needs at least one generator", tok)
+            self._cap_generators(tok.value, tok)
             self.expect_punct(")")
             expr = CommutativeExpr(tok.value)
         elif kind.value == "quantum_affine":
             self.expect_punct("(")
             expr = QuantumAffineExpr(self.parse_matrix())
+            self._cap_generators(len(expr.matrix), kind)
             self.expect_punct(")")
         elif kind.value == "downup":
             self.expect_punct("(")
@@ -629,6 +640,7 @@ class _Parser:
             while self.at_punct(","):
                 self.next()
                 gens.append(self.expect_ident("generator name").value)
+            self._cap_generators(len(gens), kind)
             self.expect_punct(";")
             self.expect_keyword("rels")
             self.expect_punct(":")
@@ -649,6 +661,10 @@ class _Parser:
             self.error("unknown algebra constructor %r" % kind.value, kind)
         self.expect_punct(";")
         return AlgebraDecl(name, expr, (t.line, t.col))
+
+    def _cap_generators(self, n, token):
+        if n > MAX_GENERATORS:
+            self.error("an algebra has at most %d generators" % MAX_GENERATORS, token)
 
     def parse_group(self) -> GroupDecl:
         t = self.expect_keyword("group")

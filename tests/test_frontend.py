@@ -286,6 +286,55 @@ def test_cli_malformed_algebras_and_groups_fail_in_one_line(tmp_path, capsys, bo
     assert _main_error(capsys, ["run", str(script), "--maxdeg", "3"]) == (code, [message])
 
 
+def _skew_matrix(n):
+    return "[%s]" % ", ".join(
+        "[%s]" % ", ".join("1" if i == j else "-1" for j in range(n)) for i in range(n)
+    )
+
+
+def _gens(n):
+    return ", ".join("a%d" % i for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "field cyclotomic(100000);\nalgebra R = commutative(2);",
+            "error: 1:1: conductor must be at most 1000",
+        ),
+        (
+            "field cyclotomic(2);\nalgebra R = commutative(100000);",
+            "error: 2:25: an algebra has at most 64 generators",
+        ),
+        (
+            "field cyclotomic(2);\nalgebra R = quantum_affine(%s);" % _skew_matrix(65),
+            "error: 2:13: an algebra has at most 64 generators",
+        ),
+        (
+            "field cyclotomic(2);\nalgebra R = presentation { gens: %s; rels: ; };" % _gens(65),
+            "error: 2:13: an algebra has at most 64 generators",
+        ),
+    ],
+    ids=["conductor", "commutative", "quantum_affine", "presentation"],
+)
+@pytest.mark.parametrize("command", [["check"], ["run", "--maxdeg", "3"]])
+def test_cli_size_caps_fail_in_one_line(tmp_path, capsys, text, message, command):
+    script = tmp_path / "s.ptx"
+    script.write_text(text + "\n")
+    assert _main_error(capsys, command + [str(script)]) == (1, [message])
+
+
+def test_size_caps_are_inclusive():
+    script = parse(
+        "field cyclotomic(1000);\n"
+        "algebra R = commutative(64);\n"
+        "algebra S = quantum_affine(%s);\n"
+        "algebra T = presentation { gens: %s; rels: ; };\n" % (_skew_matrix(64), _gens(64))
+    )
+    assert script.field.m == 1000 and len(script.algebras) == 3
+
+
 def test_cli_json_output_file(tmp_path):
     out = tmp_path / "report.json"
     proc = _cli(["run", "fixtures/kx_sign.ptx", "--json", str(out), "--text"])
