@@ -33,12 +33,15 @@ KEYWORDS = {
     "rels",
 }
 
-# Size caps checked at parse time (docs/dsl.md).  Beyond them a run stalls
-# before its first task: the field's reduction data has about phi(m)^2
-# entries, and the Groebner completion of commutative(n) pairs up its
-# n(n-1)/2 relations (commutative(64) takes seconds).
+# Size caps checked at parse time (docs/dsl.md).  Beyond the first two a run
+# stalls before its first task: the field's reduction data has about
+# phi(m)^2 entries, and the Groebner completion of commutative(n) pairs up
+# its n(n-1)/2 relations (commutative(64) takes seconds).  The cofinality
+# task runs one product and writes one table entry per s <= s_max, and
+# computes radical powers up to n_cap.
 MAX_CONDUCTOR = 1000
 MAX_GENERATORS = 64
+MAX_EXPONENT = 100
 
 TASK_KINDS = ("radical", "pertinency", "invariants", "cofinality", "verify", "semisimple")
 
@@ -891,6 +894,8 @@ def _validate_task(script, declared, task: TaskDecl):
         if key in ("maxdeg", "window", "s_max", "n_cap"):
             if not isinstance(value, int) or value < 1:
                 raise ParseError("option %s needs a positive integer" % key, line, col)
+        if key in ("s_max", "n_cap") and value > MAX_EXPONENT:
+            raise ParseError("option %s must be at most %d" % (key, MAX_EXPONENT), line, col)
         if key == "strategies":
             values = value if isinstance(value, tuple) else (value,)
             for v in values:

@@ -24,7 +24,6 @@ from ..galgebra import (
 )
 from ..invariantring import (
     cofinality_check,
-    invariant_radical_table,
     invariants_basis,
     normality_check,
 )
@@ -270,7 +269,7 @@ def _task_cofinality(session, task):
     table = session.radical_table(aname, gname, D)
     inv = session.invariants(aname, gname, D)
     cert = cofinality_check(R, G, D, s_max=s_max, n_cap=n_cap, radical=table, inv=inv)
-    aa = invariant_radical_table(R, G, D, radical=table, inv=inv)
+    aa = cert.invariant_radical
     aa_gens = [(g, d) for g, d in inv.generators if aa.member(g)]
     normality = normality_check([g for g, _ in aa_gens], R, D, inv=inv)
     result = {

@@ -4,9 +4,13 @@ The fixed space in each degree is the kernel of the stacked maps g - id;
 generators are extracted greedily by degree, modulo the products of the
 generators already chosen with lower degree invariants.  Cofinality
 certificates compare the power filtrations of the radical and of the
-invariant part of the radical inside the ambient algebra, degree-wise up
-to the truncation bound; the ideal products behind them close over letter
-multiplication (``GradedIdealTable.product``).
+invariant part a of the radical inside the ambient algebra, degree-wise up
+to the truncation bound.  The ideal products behind them are closures
+(``GradedIdealTable.product``): the radical powers r^n r and R a close
+over left multiplication by the letters, a R and a^s R over right
+multiplication by the letters, and a^s a over left multiplication by the
+invariant generators, since a is an ideal of the invariant ring but not
+of R.  Each closure is checked from the tables before it is used.
 """
 
 from __future__ import annotations
@@ -176,14 +180,15 @@ def invariant_radical_table(
 class CofinalityCertificate:
     """Truncated interleaving data for the radical and invariant-radical filtrations."""
 
-    __slots__ = ("D", "s_max", "n_cap", "aR_eq_Ra", "entries")
+    __slots__ = ("D", "s_max", "n_cap", "aR_eq_Ra", "entries", "invariant_radical")
 
-    def __init__(self, D, s_max, n_cap, aR_eq_Ra, entries):
+    def __init__(self, D, s_max, n_cap, aR_eq_Ra, entries, invariant_radical):
         self.D = D
         self.s_max = s_max
         self.n_cap = n_cap
         self.aR_eq_Ra = aR_eq_Ra
         self.entries = entries  # list of dicts {s, n, vacuous}
+        self.invariant_radical = invariant_radical  # the table of a
 
     def as_json(self):
         return {
@@ -210,8 +215,12 @@ def cofinality_check(
     """For each s <= s_max, the least n with radical^n inside (a^s R) up to D.
 
     Also reports whether aR = Ra holds degree-wise, where a is the invariant
-    part of the radical.  Containments are exact statements about the graded
-    components of degree <= D.
+    part of the radical, and returns the table of a on the certificate.
+    Containments are exact statements about the graded components of
+    degree <= D.  Each power a^{s+1} = a^s a closes over the invariant
+    generators: a is an ideal of the invariant ring A, so A a^s lies in
+    a^s, and ``GradedIdealTable.product`` checks this closure from the
+    tables before it relies on it.
     """
     if radical is None:
         radical = oracle_radical(R, G, D)
@@ -219,6 +228,7 @@ def cofinality_check(
     if inv is None:
         inv = invariants_basis(R, G, D)
     aa = invariant_radical_table(R, G, D, radical=radical, inv=inv)
+    inv_gens = [(d, R.coords(g, d)) for g, d in inv.generators]
     full = GradedIdealTable.full(R, D)
     aR = aa.product(full)
     Ra = full.product(aa)
@@ -246,8 +256,8 @@ def cofinality_check(
         if n_found is not None:
             start = n_found
         if s < s_max:
-            a_power = a_power.product(aa)
-    return CofinalityCertificate(D, s_max, n_cap, a_eq, entries)
+            a_power = a_power.product(aa, multipliers=inv_gens)
+    return CofinalityCertificate(D, s_max, n_cap, a_eq, entries, aa)
 
 
 def normality_check(

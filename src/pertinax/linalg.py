@@ -23,7 +23,17 @@ def in_span(field, vec, rrows) -> bool:
 
 
 def span_contains(field, sub_rows, super_rows) -> bool:
-    return all(in_span(field, row, super_rows) for _, row in sub_rows)
+    """Whether the rows of ``sub_rows`` lie in the span of ``super_rows``.
+
+    ``super_rows`` must be a canonical RREF.  The span contains the sub rows
+    exactly when adding them leaves the canonical RREF unchanged, so one
+    rref decides it (on the kernel's integer path when every entry is
+    rational) instead of a reduction per row.
+    """
+    if not sub_rows:
+        return True
+    stacked = [row for _, row in super_rows] + [row for _, row in sub_rows]
+    return rref(field, stacked) == list(super_rows)
 
 
 def trailing_block_rows(field, rows, split):

@@ -12,12 +12,14 @@ This holds because R is connected graded and generated by its letters, so
 R_i = sum_x x R_{i - deg x} for i >= 1.  The radical rows are the rows of
 W_d supported on the identity block.  The same argument drives
 ``letter_closure``, which builds ideal closures and ideal products of
-graded tables from the rows of lower degrees.
+graded tables from the rows of lower degrees, over the letters or over any
+homogeneous multipliers of positive degree that the table is closed under.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from . import kernel, linalg
 from .action import FiniteGroup
@@ -288,39 +290,44 @@ class GradedIdealTable:
             )
         return GradedIdealTable(self.algebra, self.D, rows, tag or self.tag)
 
-    def product(self, other: "GradedIdealTable", tag=None) -> "GradedIdealTable":
+    def product(
+        self, other: "GradedIdealTable", tag=None, multipliers=None
+    ) -> "GradedIdealTable":
         """Degree-wise span of pairwise products; the ideal product for ideals.
 
-        (IJ)_d = sum_i I_i J_{d-i}.  When I is a left ideal (x I_i inside
-        I_{i + deg x} for every letter x, up to D), pick N_i, a complement of
-        sum_x x I_{i - deg x} in I_i.  Then I_i = sum_x x I_{i - deg x} + N_i,
+        (IJ)_d = sum_i I_i J_{d-i}.  Let the m be homogeneous multipliers of
+        positive degree under which I is closed on the left (m I_i inside
+        I_{i + deg m} for every m, checked up to D): by default the letters
+        of R, when I is a left ideal, or the given ``multipliers``
+        (``(degree, coordinates)`` pairs), such as the generators of the
+        invariant ring for an ideal of it.  Pick N_i, a complement of
+        sum_m m I_{i - deg m} in I_i.  Then I_i = sum_m m I_{i - deg m} + N_i,
         so by induction on i every I_i J_{d-i} lies in
-        sum_x x (IJ)_{d - deg x} + N_i J_{d-i}; conversely x (IJ) lies in
-        (RI) J, inside IJ.  Hence
+        sum_m m (IJ)_{d - deg m} + N_i J_{d-i}; conversely m (IJ) lies in
+        (m I) J, inside IJ.  Hence
 
-            (IJ)_d = sum_x x (IJ)_{d - deg x} + sum_i N_i J_{d-i},
+            (IJ)_d = sum_m m (IJ)_{d - deg m} + sum_i N_i J_{d-i},
 
-        built from the canonical rows of the lower degrees.  Otherwise, when
-        J is a right ideal, the mirrored form with M_j, a complement of
-        sum_x J_{j - deg x} x in J_j, holds:
+        built from the canonical rows of the lower degrees.  Otherwise,
+        over the letters only, when J is a right ideal, the mirrored form
+        with M_j, a complement of sum_x J_{j - deg x} x in J_j, holds:
 
             (IJ)_d = sum_x (IJ)_{d - deg x} x + sum_j I_{d-j} M_j.
 
         With J = R, M is the unit and (aR)_d = sum_x (aR)_{d - deg x} x + a_d.
         Which form applies is decided exactly from the tables
-        (``one_sided_generators``); when neither factor is a one-sided ideal,
-        as for powers of the invariant part of the radical, every pair of
-        rows is multiplied.  The echelon form is canonical, so all three
-        give the rows of the pairwise span.
+        (``one_sided_generators``); when none does, every pair of rows is
+        multiplied.  The echelon form is canonical, so every form gives the
+        rows of the pairwise span.
         """
         _same_frame(self, other)
         R = self.algebra
         left_rows, right_rows = self.rows, other.rows
         sides = (False, False)
-        gens = one_sided_generators(self, left=True)
+        gens = one_sided_generators(self, left=True, multipliers=multipliers)
         if gens is not None:
             left_rows, sides = gens, (True, False)
-        else:
+        elif multipliers is None:
             gens = one_sided_generators(other, left=False)
             if gens is not None:
                 right_rows, sides = gens, (False, True)
@@ -333,7 +340,7 @@ class GradedIdealTable:
                 for _, v in right_rows[d - i]
             ]
 
-        rows = letter_closure(R, seeds, self.D, *sides)
+        rows = letter_closure(R, seeds, self.D, *sides, multipliers=multipliers)
         return GradedIdealTable(R, self.D, rows, tag or self.tag)
 
     def power(self, n: int, tag=None) -> "GradedIdealTable":
@@ -413,8 +420,8 @@ def letter_images(R: GradedAlgebra, letter: int, d: int, left: bool):
     """Coordinates of x * w (or w * x) for each degree d basis word w.
 
     The images live over the basis of degree d + deg x; they are cached on
-    the algebra.  This is the one letter-multiplication primitive behind
-    ideal closure, the ideal check and the radical oracle.
+    the algebra.  This is the letter-multiplication primitive behind ideal
+    closure, the ideal check and the radical oracle.
     """
     cache = R._act_cache.setdefault(("letter", letter, left), {})
     images = cache.get(d)
@@ -428,65 +435,107 @@ def letter_images(R: GradedAlgebra, letter: int, d: int, left: bool):
     return images
 
 
-def _letter_product(R: GradedAlgebra, letter: int, d: int, vec, left: bool):
-    """Coordinates of x_letter * v or v * x_letter for v in degree d."""
-    images = letter_images(R, letter, d, left)
+def multiplier_images(R: GradedAlgebra, multiplier, d: int, left: bool):
+    """Coordinates of m * w (or w * m) for each degree d basis word w.
+
+    ``multiplier`` is a homogeneous element m given as ``(degree,
+    coordinates)``.  The images live over the basis of degree d + deg m and
+    are cached on the algebra under the coordinates of m, like
+    ``letter_images``.
+    """
+    dm, coords = multiplier
+    key = ("multiplier", dm, tuple(sorted(coords.items())), left)
+    cache = R._act_cache.setdefault(key, {})
+    images = cache.get(d)
+    if images is None:
+        one = R.field.one.raw
+        images = [
+            vec_product(R, dm, d, coords, {j: one})
+            if left
+            else vec_product(R, d, dm, {j: one}, coords)
+            for j in range(R.dim(d))
+        ]
+        cache[d] = images
+    return images
+
+
+def _multiplier_maps(R: GradedAlgebra, multipliers, left: bool):
+    """(degree, images) per multiplier, where images(d) are the cached images
+    of the degree d basis words; the letters of R when ``multipliers`` is None."""
+    if multipliers is None:
+        return [
+            (dx, partial(letter_images, R, letter, left=left))
+            for letter, dx in enumerate(R.alphabet.degrees)
+        ]
+    if any(dm < 1 for dm, _ in multipliers):
+        raise ValueError("multipliers must have positive degree")
+    return [(m[0], partial(multiplier_images, R, m, left=left)) for m in multipliers]
+
+
+def _letter_multiples(R: GradedAlgebra, rows, d: int, left: bool, multipliers=None):
+    """The vectors m * v (or v * m) in degree d, m over the multipliers (the
+    letters by default) and v over the rows of degree d - deg m of a
+    per-degree echelon list."""
     red = R.field.red
-    out: dict = {}
-    for c, raw in vec.items():
-        kernel.dict_axpy(out, raw, images[c], red)
-    return out
-
-
-def _letter_multiples(R: GradedAlgebra, rows, d: int, left: bool):
-    """The vectors x * v (or v * x) in degree d, x over the letters and v
-    over the rows of degree d - deg x of a per-degree echelon list."""
     out = []
-    for letter, dx in enumerate(R.alphabet.degrees):
-        lower = d - dx
-        if lower < 0:
+    for dm, images in _multiplier_maps(R, multipliers, left):
+        lower = d - dm
+        if lower < 0 or not rows[lower]:
             continue
+        maps = images(lower)
         for _, row in rows[lower]:
-            out.append(_letter_product(R, letter, lower, row, left))
+            vec: dict = {}
+            for c, raw in row.items():
+                kernel.dict_axpy(vec, raw, maps[c], red)
+            out.append(vec)
     return out
 
 
-def letter_closure(R: GradedAlgebra, seeds, D: int, left: bool, right: bool):
-    """Per-degree canonical rows of T_d = seeds(d) + sum_x x T_{d - deg x}
-    (when ``left``) + sum_x T_{d - deg x} x (when ``right``), for d <= D.
+def letter_closure(R: GradedAlgebra, seeds, D: int, left: bool, right: bool, multipliers=None):
+    """Per-degree canonical rows of T_d = seeds(d) + sum_m m T_{d - deg m}
+    (when ``left``) + sum_m T_{d - deg m} m (when ``right``), for d <= D.
 
-    With both sides this is the two-sided ideal generated by the seeds, with
-    one side the one-sided ideal, with neither the span of the seeds.  The
-    letter images come from the cached ``letter_images``.
+    The m run over ``multipliers``, homogeneous elements of positive degree
+    given as ``(degree, coordinates)``, or over the letters of R when it is
+    None.  Over the letters, with both sides this is the two-sided ideal
+    generated by the seeds, with one side the one-sided ideal, with neither
+    the span of the seeds.  Over other multipliers it is the closure of the
+    seeds under multiplication by them, for instance the ideal of the
+    invariant ring generated by the seeds when the multipliers generate the
+    invariant ring.  The images come from the cached ``letter_images`` and
+    ``multiplier_images``.
     """
     field = R.field
     rows: list = []
     for d in range(D + 1):
         vecs = list(seeds(d))
         if left:
-            vecs += _letter_multiples(R, rows, d, left=True)
+            vecs += _letter_multiples(R, rows, d, True, multipliers)
         if right:
-            vecs += _letter_multiples(R, rows, d, left=False)
+            vecs += _letter_multiples(R, rows, d, False, multipliers)
         rows.append(linalg.rref(field, vecs))
     return rows
 
 
-def one_sided_generators(table: GradedIdealTable, left: bool):
-    """Per degree, echelon rows N_d completing sum_x x T_{d - deg x} to T_d, or None.
+def one_sided_generators(table: GradedIdealTable, left: bool, multipliers=None):
+    """Per degree, echelon rows N_d completing sum_m m T_{d - deg m} to T_d, or None.
 
-    The images of T_{d - deg x} under the letters on the chosen side are
-    echelonised; T is a left (right) ideal up to D exactly when they lie in
-    T_d for every d <= D, and None is returned otherwise.  The rows of T_d
-    whose pivot is not a pivot of the images form a complement: distinct
-    leading columns outside the images' pivots make them independent modulo
-    the images, and there are dim T_d minus dim(images) of them.  Then T is
-    generated by the N_d on that side.
+    The m run over ``multipliers``, homogeneous elements of positive degree
+    given as ``(degree, coordinates)``, or over the letters of R when it is
+    None.  The images of T_{d - deg m} under the multipliers on the chosen
+    side are echelonised; T is closed under them (a left or right ideal,
+    for the letters) up to D exactly when the images lie in T_d for every
+    d <= D, and None is returned otherwise.  The rows of T_d whose pivot is
+    not a pivot of the images form a complement: distinct leading columns
+    outside the images' pivots make them independent modulo the images, and
+    there are dim T_d minus dim(images) of them.  Then T is the closure of
+    the N_d under the multipliers on that side.
     """
     R = table.algebra
     field = R.field
     out = []
     for d in range(table.D + 1):
-        images = linalg.rref(field, _letter_multiples(R, table.rows, d, left))
+        images = linalg.rref(field, _letter_multiples(R, table.rows, d, left, multipliers))
         if not linalg.span_contains(field, images, table.rows[d]):
             return None
         pivots = {p for p, _ in images}

@@ -61,6 +61,7 @@ STATEMENTS = (
         "task radical R G maxdeg=3;",
         "task invariants R G maxdeg=2;",
         "task cofinality R G maxdeg=3 s_max=2 n_cap=3;",
+        "task cofinality R G maxdeg=3 s_max=100000000;",
         "task verify P R G maxdeg=3;",
         "task pertinency R G maxdeg=3;",
         "task semisimple Q G maxdeg=3;",

@@ -296,6 +296,12 @@ def _gens(n):
     return ", ".join("a%d" % i for i in range(n))
 
 
+_COFINALITY = (
+    "field cyclotomic(2);\nalgebra R = commutative(2);\n"
+    "group G = matrices { g: [[-1, 0], [0, 1]]; };\n"
+)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -315,8 +321,16 @@ def _gens(n):
             "field cyclotomic(2);\nalgebra R = presentation { gens: %s; rels: ; };" % _gens(65),
             "error: 2:13: an algebra has at most 64 generators",
         ),
+        (
+            _COFINALITY + "task cofinality R G maxdeg=3 s_max=100000000;",
+            "error: 4:1: option s_max must be at most 100",
+        ),
+        (
+            _COFINALITY + "task cofinality R G maxdeg=3 n_cap=101;",
+            "error: 4:1: option n_cap must be at most 100",
+        ),
     ],
-    ids=["conductor", "commutative", "quantum_affine", "presentation"],
+    ids=["conductor", "commutative", "quantum_affine", "presentation", "s_max", "n_cap"],
 )
 @pytest.mark.parametrize("command", [["check"], ["run", "--maxdeg", "3"]])
 def test_cli_size_caps_fail_in_one_line(tmp_path, capsys, text, message, command):
@@ -333,6 +347,8 @@ def test_size_caps_are_inclusive():
         "algebra T = presentation { gens: %s; rels: ; };\n" % (_skew_matrix(64), _gens(64))
     )
     assert script.field.m == 1000 and len(script.algebras) == 3
+    (task,) = parse(_COFINALITY + "task cofinality R G s_max=100 n_cap=100;\n").tasks
+    assert task.option("s_max") == task.option("n_cap") == 100
 
 
 def test_cli_json_output_file(tmp_path):

@@ -9,9 +9,14 @@ from pertinax.freealgebra import Alphabet, FreePoly
 from pertinax.frontend.parser import parse
 from pertinax.frontend.runner import Session
 from pertinax.galgebra import make_downup, make_free, make_presentation, make_quantum_affine
-from pertinax.invariantring import invariants_basis, normality_check
+from pertinax.invariantring import invariant_radical_table, invariants_basis, normality_check
 from pertinax.scalars import cyclotomic_field
-from pertinax.skewgroup import GradedIdealTable, one_sided_generators
+from pertinax.skewgroup import (
+    GradedIdealTable,
+    letter_closure,
+    one_sided_generators,
+    oracle_radical,
+)
 
 from product_reference import pair_invariant_generators, pair_normal_in_R, pair_product_rows
 
@@ -166,3 +171,63 @@ def test_invariant_generators_match_pair_reference_on_fixtures():
         assert got == [pair_normal_in_R(a, D) for a in elems], name
         seen += 1
     assert seen >= 9
+
+
+def _letters_as_multipliers(R):
+    return [(d, R.coords(x, d)) for x, d in zip(R.gens(), R.alphabet.degrees)]
+
+
+def test_invariant_radical_powers_match_pair_reference_on_fixtures():
+    """a^s a over the invariant generators, as in ``cofinality_check``."""
+    D = 8
+    seen = 0
+    for name, R, G in _fixture_pairs(D):
+        inv = invariants_basis(R, G, D)
+        aa = invariant_radical_table(R, G, D, inv=inv)
+        if aa.is_zero():
+            continue
+        gens = [(d, R.coords(g, d)) for g, d in inv.generators]
+        power = aa
+        for s in range(1, 4):
+            # a is an ideal of the invariant ring, so the closure path is taken
+            assert one_sided_generators(power, left=True, multipliers=gens) is not None, name
+            expected = reference_table(power, aa)
+            assert power.product(aa, multipliers=gens).rows == expected.rows, (name, s)
+            power = expected
+        seen += 1
+    assert seen >= 9
+
+
+def test_product_over_multipliers_falls_back_when_not_closed():
+    """The letters, given as multipliers, do not preserve a: every pair is
+    multiplied.  They do preserve the radical, a two-sided ideal, so its
+    square closes over them."""
+    D = 8
+    seen = 0
+    for name, R, G in _fixture_pairs(D):
+        inv = invariants_basis(R, G, D)
+        radical = oracle_radical(R, G, D)
+        aa = invariant_radical_table(R, G, D, radical=radical, inv=inv)
+        if aa.is_zero():
+            continue
+        letters = _letters_as_multipliers(R)
+        assert one_sided_generators(aa, left=True, multipliers=letters) is None, name
+        assert aa.product(aa, multipliers=letters).rows == reference_table(aa, aa).rows, name
+        assert one_sided_generators(radical, left=True, multipliers=letters) is not None, name
+        square = radical.product(radical, multipliers=letters)
+        assert square.rows == reference_table(radical, radical).rows, name
+        seen += 1
+    assert seen >= 9
+
+
+def test_closure_over_letters_as_multipliers_matches_letters():
+    for name, R, G in _fixture_pairs(6):
+        inv = invariants_basis(R, G, 6)
+        seeds = {d: [row for _, row in inv.rows[d]] for d in (1, 2)}
+        letters = _letters_as_multipliers(R)
+        for left, right in ((True, False), (False, True), (True, True)):
+            by_letters = letter_closure(R, lambda d: seeds.get(d, ()), 6, left, right)
+            by_elements = letter_closure(
+                R, lambda d: seeds.get(d, ()), 6, left, right, multipliers=letters
+            )
+            assert by_elements == by_letters, (name, left, right)
