@@ -26,11 +26,8 @@ from .galgebra import (
 from .action import FiniteGroup, LinearAuto, act, group_generate, identity_auto, reynolds
 from .skewgroup import (
     GradedIdealTable,
-    SkewElement,
-    integral_idempotent,
     intersect_with_invariants,
     oracle_radical,
-    skew_mul,
 )
 from .radical import (
     PertinentPair,

@@ -38,6 +38,10 @@ class TruncationExceeded(MathError):
     pass
 
 
+class BasisTooLarge(MathError):
+    pass
+
+
 class BadQMatrix(MathError):
     pass
 

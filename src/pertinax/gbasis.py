@@ -9,8 +9,19 @@ are no "maybe" answers below the truncation bound.
 
 from __future__ import annotations
 
-from .errors import DegenerateQuotient, NotGraded, RedundantGenerator, TruncationExceeded
+from .errors import (
+    BasisTooLarge,
+    DegenerateQuotient,
+    NotGraded,
+    RedundantGenerator,
+    TruncationExceeded,
+)
 from .freealgebra import FreePoly, Word
+
+# Most candidate words (w x, with w a normal word of degree d - deg x) the
+# normal-word basis examines in one degree: far above every fixture and
+# benchmark degree (a few thousand), and about a second of work at the bound.
+MAX_BASIS_CANDIDATES = 10**6
 
 
 class TruncatedGB:
@@ -158,7 +169,12 @@ class TruncatedGB:
 
 
 class QuotientBasis:
-    """Normal (irreducible) words per degree: monomial bases of the quotient."""
+    """Normal (irreducible) words per degree: monomial bases of the quotient.
+
+    Degree d is built from the candidates w·x, w normal of degree
+    d - deg x.  More than ``MAX_BASIS_CANDIDATES`` of them raise
+    ``BasisTooLarge`` before any is examined.
+    """
 
     __slots__ = ("alphabet", "words", "index")
 
@@ -168,6 +184,15 @@ class QuotientBasis:
         by_degree: list[list[Word]] = [[] for _ in range(D + 1)]
         by_degree[0] = [()]
         for d in range(1, D + 1):
+            candidates = sum(
+                len(by_degree[d - dx]) for dx in alphabet.degrees if dx <= d
+            )
+            if candidates > MAX_BASIS_CANDIDATES:
+                raise BasisTooLarge(
+                    "degree %d of the algebra has %d candidate basis words, above %d; "
+                    "lower the truncation with --maxdeg or a task's maxdeg"
+                    % (d, candidates, MAX_BASIS_CANDIDATES)
+                )
             found = []
             for i in range(len(alphabet)):
                 dx = alphabet.degrees[i]

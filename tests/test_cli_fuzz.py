@@ -5,8 +5,9 @@ go through ``cli.main``.  An input either succeeds with output on stdout
 and nothing on stderr, or fails with exactly one stderr line and nothing on
 stdout (a failed verify task exits 2 with its report on stdout).  Only the
 bytes and the soups are run, never the mutated fixtures: every number a
-soup can spell is at most 3 or beyond a size cap of the parser, so no soup
-asks for a long computation.
+soup can spell is at most 3, beyond a size cap of the parser, or the 20
+generators of ``commutative(20)``, whose basis up to the run's degree 3 has
+a few thousand words, so no soup asks for a long computation.
 """
 
 import contextlib
@@ -42,6 +43,7 @@ STATEMENTS = (
         "algebra R = presentation { gens: x, y; rels: x*y - y*x; };",
         "algebra R = commutative(0);",
         "algebra R = commutative(100000);",
+        "algebra R = commutative(20);",
     ),
     (
         "algebra Q = quotient(R, [x^2]);",

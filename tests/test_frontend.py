@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from pertinax.errors import ConductorTooSmall, ParseError
+from pertinax import gbasis
+from pertinax.errors import BasisTooLarge, ConductorTooSmall, ParseError
 from pertinax.frontend import cli
 from pertinax.frontend.parser import parse
 from pertinax.frontend.runner import run
-from pertinax.galgebra import make_downup, make_skew_symmetric
+from pertinax.galgebra import make_commutative, make_downup, make_skew_symmetric
 from pertinax.scalars import cyclotomic_field
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -349,6 +351,37 @@ def test_size_caps_are_inclusive():
     assert script.field.m == 1000 and len(script.algebras) == 3
     (task,) = parse(_COFINALITY + "task cofinality R G s_max=100 n_cap=100;\n").tasks
     assert task.option("s_max") == task.option("n_cap") == 100
+
+
+def test_cli_basis_size_guard_fails_in_one_line(tmp_path, capsys):
+    """commutative(20) passes check, but its basis stops at degree 7, whose
+    20 * h_6 candidates exceed the bound (the default truncation 12 would
+    stop there too, before h_12 = C(31, 12) words); --maxdeg 3 runs."""
+    minus_id = "[%s]" % ", ".join(
+        "[%s]" % ", ".join("-1" if i == j else "0" for j in range(20)) for i in range(20)
+    )
+    script = tmp_path / "s.ptx"
+    script.write_text(
+        "field cyclotomic(2);\nalgebra R = commutative(20);\n"
+        "group G = matrices { g: %s; };\ntask pertinency R G maxdeg=3;\n" % minus_id
+    )
+    assert cli.main(["check", str(script)]) == 0
+    capsys.readouterr()
+    message = (
+        "BasisTooLarge: degree 7 of the algebra has %d candidate basis words, above %d; "
+        "lower the truncation with --maxdeg or a task's maxdeg"
+        % (20 * comb(25, 6), gbasis.MAX_BASIS_CANDIDATES)
+    )
+    assert _main_error(capsys, ["run", str(script), "--maxdeg", "7"]) == (2, [message])
+    assert cli.main(["run", str(script), "--maxdeg", "3"]) == 0
+
+
+def test_basis_size_guard_is_inclusive(QQ, monkeypatch):
+    """The bound admits a degree with exactly that many candidates."""
+    monkeypatch.setattr(gbasis, "MAX_BASIS_CANDIDATES", 2 * 5)  # 2 * h_4 of k[x, y]
+    assert make_commutative(QQ, 2, 5).basis.dims() == [1, 2, 3, 4, 5, 6]
+    with pytest.raises(BasisTooLarge, match="degree 6 of the algebra has 12 candidate"):
+        make_commutative(QQ, 2, 6)
 
 
 def test_cli_json_output_file(tmp_path):

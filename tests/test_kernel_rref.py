@@ -1,6 +1,6 @@
-"""The pure kernel's rref against a definition-level Fraction reference.
+"""The kernel's rref against a definition-level Fraction reference.
 
-Rational matrices take the integer path of ``_pure.rref``, every other one
+Rational matrices take the integer path of ``kernel.rref``, every other one
 the elimination in Q(zeta); both must give the canonical RREF with every
 entry a raw scalar in normal form.  The reference below is independent of
 the kernel: it works over Q only, with ``Fraction`` Gauss-Jordan.  A matrix
@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pertinax import _pure
+from pertinax import kernel
 from pertinax.scalars import cyclotomic_field
 
 # conductors with phi = 1, 2 and 4
@@ -131,7 +131,7 @@ def _to_raw(rows, phi):
 
 def _run(raw_rows, field):
     copies = [dict(r) for r in raw_rows]
-    out = _pure.rref(copies, field.red, field.minpoly)
+    out = kernel.rref(copies, field.red, field.minpoly)
     assert copies == raw_rows  # the input rows are left as they were
     return out
 
@@ -141,7 +141,7 @@ def _run(raw_rows, field):
 def test_rational_rref_matches_reference(m, rows):
     field = cyclotomic_field(m)
     raw_rows = _to_raw(rows, field.phi)
-    with mock.patch.object(_pure, "_integer_rref", wraps=_pure._integer_rref) as spy:
+    with mock.patch.object(kernel, "_integer_rref", wraps=kernel._integer_rref) as spy:
         out = _run(raw_rows, field)
     assert spy.call_count == 1
     assert out == reference_rref(raw_rows, field.minpoly)
@@ -163,7 +163,7 @@ def test_one_non_rational_entry_takes_the_field_path(m, rows, data):
     nums = data.draw(st.lists(st.integers(-9, 9), min_size=phi, max_size=phi))
     nums[data.draw(st.integers(1, phi - 1))] = data.draw(st.integers(1, 9))
     raw_rows[i][col] = _normal(nums, data.draw(st.integers(1, 6)))
-    with mock.patch.object(_pure, "_integer_rref", wraps=_pure._integer_rref) as spy:
+    with mock.patch.object(kernel, "_integer_rref", wraps=kernel._integer_rref) as spy:
         out = _run(raw_rows, field)
     assert spy.call_count == 0
     assert out == reference_rref(raw_rows, field.minpoly)
@@ -176,7 +176,7 @@ def test_integer_path_equals_field_path(m, rows):
     field = cyclotomic_field(m)
     raw_rows = _to_raw(rows, field.phi)
     integer = _run(raw_rows, field)
-    with mock.patch.object(_pure, "_integer_rows", return_value=None):
+    with mock.patch.object(kernel, "_integer_rows", return_value=None):
         in_field = _run(raw_rows, field)
     assert integer == in_field
 

@@ -7,15 +7,9 @@ import pytest
 
 from pertinax.action import LinearAuto, act, group_generate
 from pertinax.galgebra import make_commutative, make_skew_symmetric, quotient_by_ideal
-from pertinax.skewgroup import (
-    GradedIdealTable,
-    SkewElement,
-    integral_idempotent,
-    intersect_with_invariants,
-    oracle_radical,
-    skew_mul,
-)
+from pertinax.skewgroup import GradedIdealTable, intersect_with_invariants, oracle_radical
 from pertinax.invariantring import invariants_basis
+from skew_reference import SkewElement, integral_idempotent, skew_mul
 
 
 @pytest.fixture(scope="module")
