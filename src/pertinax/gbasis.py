@@ -23,6 +23,12 @@ from .freealgebra import FreePoly, Word
 # benchmark degree (a few thousand), and about a second of work at the bound.
 MAX_BASIS_CANDIDATES = 10**6
 
+# Most ordered pairs (u, v) of leading words one completion sweep examines
+# for overlaps: commutative(45) has 990 rules and 980100 pairs, within the
+# bound; commutative(64) has 2016 rules and 4064256 pairs, about 13 s of
+# overlap search per sweep.
+MAX_OVERLAP_PAIRS = 10**6
+
 
 class TruncatedGB:
     """A monic, inter-reduced rewriting system complete up to a degree bound."""
@@ -311,7 +317,9 @@ def gb_complete(
 
     Raises NotGraded for inhomogeneous input and RedundantGenerator for
     degree one relations (eliminate the generator instead); quotient
-    construction passes allow_linear to accept degree one rules.
+    construction passes allow_linear to accept degree one rules.  A sweep
+    over more than ``MAX_OVERLAP_PAIRS`` ordered pairs of leading words
+    raises ``BasisTooLarge`` before any pair is examined.
     """
     relations = [r for r in relations if not r.is_zero()]
     if not relations:
@@ -339,6 +347,13 @@ def gb_complete(
     # diamond lemma hypothesis in the graded, truncated setting.
     while True:
         lead_map = {f.leading_word(): f for f in basis}
+        pairs = len(lead_map) ** 2
+        if pairs > MAX_OVERLAP_PAIRS:
+            raise BasisTooLarge(
+                "Groebner completion has %d rules, so %d ordered pairs to search for "
+                "overlaps, above %d; present the algebra with fewer relations"
+                % (len(lead_map), pairs, MAX_OVERLAP_PAIRS)
+            )
         lengths = sorted({len(w) for w in lead_map})
         pending = []
         for u in lead_map:

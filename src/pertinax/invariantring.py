@@ -1,6 +1,7 @@
 """The invariant subalgebra: bases, generators, cofinality and normality.
 
-The fixed space in each degree is the kernel of the stacked maps g - id;
+The fixed space in each degree is the image of the Reynolds operator
+(1/|G|) sum_g g, exact because |G| is invertible in characteristic 0;
 generators are extracted greedily by degree, modulo the products of the
 generators already chosen with lower degree invariants.  Cofinality
 certificates compare the power filtrations of the radical and of the
@@ -67,6 +68,12 @@ class InvariantRing:
 def invariants_basis(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> InvariantRing:
     """Fixed spaces per degree plus a generator list minimal up to D.
 
+    The fixed space A_d is the canonical echelon form of the h_d vectors
+    sum_g g.w, w over the degree d basis words.  They span it: the Reynolds
+    operator rho = (1/|G|) sum_g g maps R_d into A_d and is the identity on
+    A_d, so A_d = rho(R_d), and the vectors are |G| rho(w), a nonzero
+    multiple since the characteristic is 0.
+
     The generators of degree d are the rows of A_d kept modulo (A_+^2)_d,
     where A is the invariant subalgebra.  That span is built as
 
@@ -85,33 +92,18 @@ def invariants_basis(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> 
     if D > R.D:
         raise TruncationExceeded("invariants beyond the algebra truncation")
     field = R.field
-    k = G.order
+    one = field.one.raw
     rows = []
     for d in range(D + 1):
-        h = R.dim(d)
-        if h == 0:
-            rows.append([])
-            continue
-        cols = []
-        gcols = [G.elements[gi].matrix_on_degree(d) for gi in range(1, k)]
-        for j in range(h):
-            col: dict = {}
-            for b in range(k - 1):
-                base = b * h
-                for r, v in gcols[b][j].items():
-                    col[base + r] = v
-                cur = col.get(base + j)
-                diff = (
-                    kernel.q_sub(cur, field.one.raw)
-                    if cur is not None
-                    else kernel.q_neg(field.one.raw)
-                )
-                if kernel.q_is_zero(diff):
-                    col.pop(base + j, None)
-                else:
-                    col[base + j] = diff
-            cols.append(col)
-        rows.append(linalg.kernel_rows(field, cols, h, (k - 1) * h))
+        # the Reynolds image: sum_g g.w over the degree d basis words w
+        gcols = [g.matrix_on_degree(d) for g in G.elements[1:]]
+        sums = []
+        for c in range(R.dim(d)):
+            row = {c: one}  # the identity's term
+            for cols in gcols:
+                kernel.dict_axpy(row, one, cols[c], field.red)
+            sums.append(row)
+        rows.append(linalg.rref(field, sums))
     rows = tuple(tuple(rs) for rs in rows)
 
     generators = []

@@ -41,9 +41,9 @@ def trailing_block_rows(field, rows, split):
 
     With rows of the form ``[T(v) | V(v)]`` over a spanning set of v, the
     returned rows are a canonical basis of ``{V(v) : T(v) = 0}``: the image
-    of the kernel of T under V.  This single primitive drives fixed spaces
-    and subspace intersections; the radical oracle applies
-    ``trailing_rows`` to echelon forms it keeps.
+    of the kernel of T under V.  It drives kernels and subspace
+    intersections; the radical oracle applies ``trailing_rows`` to the
+    echelon forms of its closure.
     """
     return trailing_rows(rref(field, rows), split)
 

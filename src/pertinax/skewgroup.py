@@ -1,18 +1,23 @@
 """The skew group algebra, graded ideal tables and the radical oracle.
 
-The radical of the action is R cap (R#G) e (R#G), with R#G the skew group
-algebra and e = (1/|G|) sum_g g its averaging idempotent.  Degree by degree
-it is a finite, exact linear problem.  The oracle keeps W_d, the degree d
-part of the ideal generated by e, as a canonical echelon form over |G|
-blocks of the degree d basis, and builds it by the letter recursion
+The radical of the action is R cap W, with W = (R#G) e (R#G), R#G the skew
+group algebra and e = (1/|G|) sum_g g its averaging idempotent.  Degree by
+degree it is a finite, exact linear problem.  The oracle drops R e, which
+lies in W: with g0 a fixed non-identity element (|G| >= 2),
 
-    W_d = sum_x x W_{d - deg x} + e R_d    (x over the generators of R).
+    pi(sum_g r_g # g) = (r_g - r_g0)_{g != g0}
 
-This holds because R is connected graded and generated by its letters, so
-R_i = sum_x x R_{i - deg x} for i >= 1.  The radical rows are the rows of
-W_d supported on the identity block.  The same argument drives
-``letter_closure``, which builds ideal closures and ideal products of
-graded tables from the rows of lower degrees, over the letters or over any
+is left R-linear with kernel R e, so W is the preimage of pi(W), a left
+submodule of R^(|G|-1), and r # 1 maps to r in the identity block.  The
+radical is the part of pi(W) supported on that block.  The oracle builds
+pi(W)_d by the letter recursion
+
+    pi(W)_d = sum_x x pi(W)_{d - deg x} + pi(e R_d)    (x over the letters),
+
+which holds because R is connected graded and generated by its letters, so
+R_i = sum_x x R_{i - deg x} for i >= 1.  The same closure,
+``letter_closure``, builds ideal closures and ideal products of graded
+tables from the rows of lower degrees, over the letters or over any
 homogeneous multipliers of positive degree that the table is closed under.
 """
 
@@ -348,17 +353,21 @@ def _multiplier_maps(R: GradedAlgebra, multipliers, left: bool):
     return [(m[0], partial(multiplier_images, R, m, left=left)) for m in multipliers]
 
 
-def _letter_multiples(R: GradedAlgebra, rows, d: int, left: bool, multipliers=None):
+def _letter_multiples(R: GradedAlgebra, rows, d: int, left: bool, multipliers=None, blocks=1):
     """The vectors m * v (or v * m) in degree d, m over the multipliers (the
     letters by default) and v over the rows of degree d - deg m of a
-    per-degree echelon list."""
+    per-degree echelon list over R^blocks (column b * h_d + t)."""
     red = R.field.red
+    h = R.dim(d)
     out = []
     for dm, images in _multiplier_maps(R, multipliers, left):
         lower = d - dm
         if lower < 0 or not rows[lower]:
             continue
         maps = images(lower)
+        if blocks > 1:
+            # m (r_b)_b = (m r_b)_b: the images, shifted into each block
+            maps = [{b * h + t: v for t, v in img.items()} for b in range(blocks) for img in maps]
         for _, row in rows[lower]:
             vec: dict = {}
             for c, raw in row.items():
@@ -367,7 +376,9 @@ def _letter_multiples(R: GradedAlgebra, rows, d: int, left: bool, multipliers=No
     return out
 
 
-def letter_closure(R: GradedAlgebra, seeds, D: int, left: bool, right: bool, multipliers=None):
+def letter_closure(
+    R: GradedAlgebra, seeds, D: int, left: bool, right: bool, multipliers=None, blocks=1
+):
     """Per-degree canonical rows of T_d = seeds(d) + sum_m m T_{d - deg m}
     (when ``left``) + sum_m T_{d - deg m} m (when ``right``), for d <= D.
 
@@ -380,15 +391,23 @@ def letter_closure(R: GradedAlgebra, seeds, D: int, left: bool, right: bool, mul
     invariant ring generated by the seeds when the multipliers generate the
     invariant ring.  The images come from the cached ``letter_images`` and
     ``multiplier_images``.
+
+    ``blocks`` is the rank of the free module R^blocks the span lives in:
+    a degree d vector has column b * h_d + t for coordinate t of block b,
+    and m acts on every block alike.  Ideals of R take the default 1; the
+    radical oracle closes a left submodule of R^(|G|-1).  The multiples of
+    each degree are listed before its seeds: the echelon form is the same
+    either way, but most seeds then reduce against rows already placed.
     """
     field = R.field
     rows: list = []
     for d in range(D + 1):
-        vecs = list(seeds(d))
+        vecs = []
         if left:
-            vecs += _letter_multiples(R, rows, d, True, multipliers)
+            vecs += _letter_multiples(R, rows, d, True, multipliers, blocks)
         if right:
-            vecs += _letter_multiples(R, rows, d, False, multipliers)
+            vecs += _letter_multiples(R, rows, d, False, multipliers, blocks)
+        vecs += seeds(d)
         rows.append(linalg.rref(field, vecs))
     return rows
 
@@ -446,21 +465,31 @@ def vec_product(R: GradedAlgebra, i: int, j: int, u, v):
 def oracle_radical(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> GradedIdealTable:
     """Exact degree-wise radical of the action, computed from first principles.
 
-    The radical is R cap (R#G) e (R#G).  Its degree d part is read off
-    W_d = sum_i R_i e R_{d-i}, the degree d part of the ideal generated by
-    e, kept as the canonical RREF of the rows sum_g r_g # g over |G| blocks
-    of h_d columns: the non-identity blocks first, the identity block
-    trailing.  Rows with their pivot in the trailing block are exactly the
-    elements of W_d supported on the identity, i.e. R_d cap W_d.
+    The radical is R cap W with W = (R#G) e (R#G), the two-sided ideal
+    generated by e; |G| >= 2, since ``group_generate`` rejects the trivial
+    group.  Fix g0, the last element of G, and let
 
-    The rows are built by the letter recursion
+        pi(sum_g r_g # g) = (r_g - r_g0)  for g != g0,
 
-        W_d = sum_x x W_{d - deg x} + e R_d,
+    a vector of R^(|G|-1) whose blocks list the non-identity g != g0 first
+    and the identity last.  pi is left R-linear, and its kernel is R e:
+    all r_g equal to one r means sum_g r # g = |G| r e.  R e lies in W,
+    since r e = r e 1, so a lies in W exactly when pi(a) lies in pi(W).
+    pi(r # 1) is r in the identity block and 0 elsewhere, hence
 
-    with x over the generators of R.  It holds because R is connected
-    graded and generated by its letters: R_i = sum_x x R_{i - deg x} for
-    i >= 1, so R_i e R_{d-i} = sum_x x (R_{i - deg x} e R_{d-i}).  Left
-    multiplication by x maps r # g to (x r) # g, block by block.  Since the
+        r in the radical  iff  (0, ..., 0, r) in pi(W),
+
+    and the degree d radical is the part of pi(W)_d supported on the
+    trailing block: the trailing rows of its canonical echelon form.
+
+    pi(W) is a left closure.  W = R e R, and R_i = sum_x x R_{i - deg x}
+    for i >= 1 (R is connected graded and generated by its letters x), so
+    W_d = sum_x x W_{d - deg x} + e R_d and
+
+        pi(W)_d = sum_x x pi(W)_{d - deg x} + pi(|G| e R_d),
+
+    with pi(|G| e w) = (g.w - g0.w)_{g != g0} for the degree d basis words
+    w.  Left multiplication by x acts on every block alike.  Since the
     echelon form is canonical, the table equals the one spanned by every
     monomial pair u e v.
     """
@@ -473,46 +502,31 @@ def oracle_radical(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> Gr
     field = R.field
     red = field.red
     one = field.one.raw
+    minus_one = kernel.q_neg(one)
     k = G.order
-    letter_degrees = R.alphabet.degrees
-    span = max(letter_degrees)
-    W: dict = {}  # the last ``span`` echelon forms of W_d
-    rows = []
-    for d in range(D + 1):
+    g0 = G.elements[-1]
+
+    def seeds(d):
+        # pi(|G| e w) = (g.w - g0.w)_{g != g0} for w in the degree d basis,
+        # blocks in the order G.elements[1:-1], then the identity
         h = R.dim(d)
-        split = (k - 1) * h
-        vecs = []
-        for letter, dx in enumerate(letter_degrees):
-            lower = W.get(d - dx)
-            if not lower:
-                continue
-            # x (r # g) = (x r) # g: the letter images, shifted into each block
-            images = letter_images(R, letter, d - dx, left=True)
-            shifted = [
-                {block * h + t: v for t, v in img.items()}
-                for block in range(k)
-                for img in images
-            ]
-            for _, wrow in lower:
-                out: dict = {}
-                for col, raw in wrow.items():
-                    kernel.dict_axpy(out, raw, shifted[col], red)
-                if out:
-                    vecs.append(out)
-        # |G| e v = sum_g (g.v) # g for v in the degree d basis
-        gcols = [G.elements[gi].matrix_on_degree(d) for gi in range(1, k)]
+        gcols = [g.matrix_on_degree(d) for g in G.elements[1:-1]]
+        g0cols = g0.matrix_on_degree(d)
+        out = []
         for c in range(h):
-            row = {}
+            row = {(k - 2) * h + c: one}  # 1.w = w
+            for b, cols in enumerate(gcols):
+                base = b * h
+                for t, v in cols[c].items():
+                    row[base + t] = v
             for b in range(k - 1):
                 base = b * h
-                for t, raw in gcols[b][c].items():
-                    row[base + t] = raw
-            row[split + c] = one
-            vecs.append(row)
-        echelon = linalg.rref(field, vecs)
-        W[d] = echelon
-        W.pop(d - span, None)
-        rows.append(linalg.trailing_rows(echelon, split))
+                kernel.dict_axpy(row, minus_one, {base + t: v for t, v in g0cols[c].items()}, red)
+            out.append(row)
+        return out
+
+    echelons = letter_closure(R, seeds, D, left=True, right=False, blocks=k - 1)
+    rows = [linalg.trailing_rows(e, (k - 2) * R.dim(d)) for d, e in enumerate(echelons)]
     return GradedIdealTable(R, D, rows, "oracle")
 
 

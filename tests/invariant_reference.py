@@ -1,0 +1,43 @@
+"""Definition-level reference for the fixed spaces of a group action.
+
+The degree d fixed space is the common kernel of the maps g - id, g over
+the group.  This module solves that linear system: the columns of the
+stacked map, of width (|G| - 1) h_d, go to ``linalg.kernel_rows``.
+``pertinax.invariantring.invariants_basis`` takes the image of the
+Reynolds operator instead, so the two agree only if that image is the
+whole fixed space.
+"""
+
+from pertinax import kernel, linalg
+
+
+def fixed_space_rows(R, G, D=None):
+    """Per degree, the canonical rows of the kernel of the stacked g - id."""
+    if D is None:
+        D = R.D
+    return tuple(tuple(_fixed_component(R, G, d)) for d in range(D + 1))
+
+
+def _fixed_component(R, G, d):
+    h = R.dim(d)
+    if h == 0:
+        return []
+    field = R.field
+    one = field.one.raw
+    k = G.order
+    gcols = [G.elements[gi].matrix_on_degree(d) for gi in range(1, k)]
+    cols = []
+    for j in range(h):
+        col: dict = {}
+        for b in range(k - 1):
+            base = b * h
+            for r, v in gcols[b][j].items():
+                col[base + r] = v
+            cur = col.get(base + j)
+            diff = kernel.q_sub(cur, one) if cur is not None else kernel.q_neg(one)
+            if kernel.q_is_zero(diff):
+                col.pop(base + j, None)
+            else:
+                col[base + j] = diff
+        cols.append(col)
+    return linalg.kernel_rows(field, cols, h, (k - 1) * h)

@@ -16,6 +16,8 @@ from pertinax.errors import (
 from pertinax.galgebra import make_commutative, make_downup, make_skew_symmetric
 from pertinax.scalars import cyclotomic_field
 
+from invariant_reference import fixed_space_rows
+
 
 def test_swap_group_on_plane(QQ):
     R = make_commutative(QQ, 2, 6)
@@ -96,34 +98,14 @@ def test_reynolds_examples(QQ):
 
 
 def test_reynolds_image_is_the_fixed_space(QQ):
-    """Rank of the averaged basis equals the kernel dimension of g - id."""
+    """The averages of the basis words span the kernel of g - id, row for row."""
     R = make_commutative(QQ, 2, 6)
-    swap = LinearAuto(R, [[0, 1], [1, 0]])
-    G = group_generate([swap])
-    field = R.field
+    G = group_generate([LinearAuto(R, [[0, 1], [1, 0]])])
+    fixed = fixed_space_rows(R, G, 4)
     for d in range(5):
-        h = R.dim(d)
-        imgs = []
-        for w in R.basis_words(d):
-            e = reynolds(G, R.from_word(w))
-            if e:
-                imgs.append(R.coords(e, d))
-        image_rank = len(linalg.rref(field, imgs))
-        cols = []
-        gcols = swap.matrix_on_degree(d)
-        from pertinax import kernel
-
-        for j in range(h):
-            col = dict(gcols[j])
-            cur = col.get(j)
-            diff = kernel.q_sub(cur, field.one.raw) if cur is not None else kernel.q_neg(field.one.raw)
-            if kernel.q_is_zero(diff):
-                col.pop(j, None)
-            else:
-                col[j] = diff
-            cols.append(col)
-        fixed_rank = len(linalg.kernel_rows(field, cols, h, h))
-        assert image_rank == fixed_rank
+        averages = [reynolds(G, R.from_word(w)) for w in R.basis_words(d)]
+        images = [R.coords(e, d) for e in averages if e]
+        assert tuple(linalg.rref(R.field, images)) == fixed[d]
 
 
 def test_rejection_paths(QQ):

@@ -17,6 +17,8 @@ from pertinax.frontend.runner import run
 from pertinax.galgebra import make_commutative, make_downup, make_skew_symmetric
 from pertinax.scalars import cyclotomic_field
 
+from make_golden import DIGEST_MAXDEGS, report_digest
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -161,6 +163,23 @@ def test_golden_reports(name):
     golden_path = GOLDEN / (name + ".json")
     assert golden_path.exists(), "golden file missing; regenerate with tests/make_golden.py"
     assert got == golden_path.read_text()
+
+
+_DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_DIGESTS))
+def test_fixture_digests(key):
+    """Every fixture report at each pinned --maxdeg hashes as recorded."""
+    name, maxdeg = key.split("@")
+    assert report_digest(name, int(maxdeg)) == _DIGESTS[key]
+
+
+def test_fixture_digests_cover_every_fixture():
+    expected = {
+        "%s@%d" % (p.stem, m) for p in FIXTURES.glob("*.ptx") for m in DIGEST_MAXDEGS
+    }
+    assert set(_DIGESTS) == expected
 
 
 def test_verify_failure_exit_code():
@@ -382,6 +401,38 @@ def test_basis_size_guard_is_inclusive(QQ, monkeypatch):
     assert make_commutative(QQ, 2, 5).basis.dims() == [1, 2, 3, 4, 5, 6]
     with pytest.raises(BasisTooLarge, match="degree 6 of the algebra has 12 candidate"):
         make_commutative(QQ, 2, 6)
+
+
+def test_cli_completion_size_guard_fails_in_one_line(tmp_path, capsys):
+    """commutative(46) passes check, but its 46 * 45 / 2 commutation rules
+    give more ordered pairs of leading words than the completion examines."""
+    rules = 46 * 45 // 2
+    minus_id = "[%s]" % ", ".join(
+        "[%s]" % ", ".join("-1" if i == j else "0" for j in range(46)) for i in range(46)
+    )
+    script = tmp_path / "s.ptx"
+    script.write_text(
+        "field cyclotomic(2);\nalgebra R = commutative(46);\n"
+        "group G = matrices { g: %s; };\ntask pertinency R G maxdeg=2;\n" % minus_id
+    )
+    assert cli.main(["check", str(script)]) == 0
+    capsys.readouterr()
+    message = (
+        "BasisTooLarge: Groebner completion has %d rules, so %d ordered pairs to search "
+        "for overlaps, above %d; present the algebra with fewer relations"
+        % (rules, rules**2, gbasis.MAX_OVERLAP_PAIRS)
+    )
+    assert _main_error(capsys, ["run", str(script), "--maxdeg", "2"]) == (2, [message])
+
+
+def test_completion_size_guard_is_inclusive(QQ, monkeypatch):
+    """The bound admits a sweep with exactly that many pairs: k[x, y, z] has
+    three commutation rules, so nine ordered pairs."""
+    monkeypatch.setattr(gbasis, "MAX_OVERLAP_PAIRS", 9)
+    assert make_commutative(QQ, 3, 3).basis.dims() == [1, 3, 6, 10]
+    monkeypatch.setattr(gbasis, "MAX_OVERLAP_PAIRS", 8)
+    with pytest.raises(BasisTooLarge, match="has 3 rules, so 9 ordered pairs"):
+        make_commutative(QQ, 3, 3)
 
 
 def test_cli_json_output_file(tmp_path):

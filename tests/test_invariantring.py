@@ -1,8 +1,10 @@
 """Invariant subalgebra bases, generators, cofinality and normality."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pertinax.action import LinearAuto, group_generate
+from pertinax.errors import TrivialGroupRejected
 from pertinax.galgebra import make_commutative, make_downup, make_skew_symmetric
 from pertinax.invariantring import (
     cofinality_check,
@@ -12,7 +14,10 @@ from pertinax.invariantring import (
     trace_average_dims,
 )
 from pertinax.linalg import rref
+from pertinax.scalars import cyclotomic_field
 from pertinax.skewgroup import GradedIdealTable, intersect_with_invariants, oracle_radical
+
+from invariant_reference import fixed_space_rows
 
 
 def _gen_strs(inv):
@@ -63,6 +68,57 @@ def test_trace_average_matches_kernel_dims(QQ, Q3):
     for R, G in _fixture_cases(QQ, Q3):
         inv = invariants_basis(R, G)
         assert trace_average_dims(R, G) == inv.dims()
+
+
+CYCLE = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+
+
+def _reynolds_cases(name):
+    if name == "s3":  # S3 permuting the generators of k[x, y, z] over Q(zeta_6)
+        R = make_commutative(cyclotomic_field(6), 3, 7)
+        return R, group_generate(
+            [LinearAuto(R, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]), LinearAuto(R, CYCLE)]
+        )
+    Q3 = cyclotomic_field(3)
+    S = make_skew_symmetric(Q3, 3, 8)
+    if name == "cyclic3":
+        return S, group_generate([LinearAuto(S, CYCLE)])
+    w = Q3.primitive_root(3)  # km1xyz_omega
+    return S, group_generate([LinearAuto(S, [[1, 0, 0], [0, w, 0], [0, 0, w * w]])])
+
+
+@pytest.mark.parametrize("name", ["s3", "cyclic3", "km1xyz_omega"])
+def test_reynolds_image_is_the_fixed_space_kernel(name):
+    R, G = _reynolds_cases(name)
+    assert invariants_basis(R, G).rows == fixed_space_rows(R, G)
+
+
+@st.composite
+def signed_permutation_groups(draw):
+    """k[x_1..x_n] or the skew n-space over Q(zeta_12), with a group generated
+    by one or two signed permutations (automorphisms of both)."""
+    n = draw(st.integers(1, 3))
+    skew = draw(st.booleans())
+    D = draw(st.integers(0, 5))
+    mats = []
+    for _ in range(draw(st.integers(1, 2))):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        mats.append([[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+    return n, skew, D, mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_permutation_groups())
+def test_reynolds_image_is_the_fixed_space_kernel_for_signed_permutations(case):
+    n, skew, D, mats = case
+    field = cyclotomic_field(12)  # signed permutations of <= 3 letters have order | 12
+    R = (make_skew_symmetric if skew else make_commutative)(field, n, D)
+    try:
+        G = group_generate([LinearAuto(R, m) for m in mats])
+    except TrivialGroupRejected:
+        assume(False)
+    assert invariants_basis(R, G).rows == fixed_space_rows(R, G)
 
 
 def test_generator_products_span(QQ, Q3):

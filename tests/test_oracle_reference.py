@@ -13,7 +13,7 @@ from pertinax.galgebra import make_quantum_affine
 from pertinax.scalars import cyclotomic_field
 from pertinax.skewgroup import oracle_radical
 
-from oracle_reference import pair_oracle_radical
+from oracle_reference import pair_oracle_radical, semi_invariant_radical
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -75,3 +75,64 @@ def test_recursion_matches_pair_reference_on_fixtures(path):
         R = session.algebras[aname]
         G = session.group(gname, aname)
         assert oracle_radical(R, G, D).rows == pair_oracle_radical(R, G, D).rows
+
+
+@st.composite
+def diagonal_actions(draw):
+    """A random quantum affine space and exponents a of sigma = diag(zeta^a)."""
+    m = draw(st.sampled_from((2, 3, 4, 6)))
+    n = draw(st.integers(1, 3))
+    D = draw(st.integers(0, 6))
+    field = cyclotomic_field(m)
+    zeta = field.zeta()
+    q = [[field.one] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = draw(st.integers(0, m - 1))
+            q[i][j] = zeta**e
+            q[j][i] = zeta ** (m - e)
+    exponents = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    return field, q, exponents, D
+
+
+def _diagonal_group(R, exponents):
+    zeta = R.field.zeta()
+    n = len(exponents)
+    matrix = [[zeta ** exponents[j] if i == j else 0 for j in range(n)] for i in range(n)]
+    return group_generate([LinearAuto(R, matrix)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_actions())
+def test_recursion_matches_semi_invariant_reference(case):
+    field, q, exponents, D = case
+    assume(any(exponents))
+    R = make_quantum_affine(field, q, D)
+    G = _diagonal_group(R, exponents)
+    assert oracle_radical(R, G, D).rows == semi_invariant_radical(R, exponents, D).rows
+
+
+DIAGONAL_FIXTURES = {
+    "km1xyz_omega": (0, 1, 2),
+    "quantum_plane": (1, 0),
+    "kxy_negid": (1, 1),
+    "km1xyz_diag11": (0, 1, 1),
+    "kx_sign": (1,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGONAL_FIXTURES))
+def test_recursion_matches_semi_invariant_reference_on_fixtures(name):
+    D = 8
+    exponents = DIAGONAL_FIXTURES[name]
+    script = parse((FIXTURES / (name + ".ptx")).read_text())
+    session = Session(script, default_maxdeg=D)
+    pairs = dict.fromkeys(tuple(task.args[-2:]) for task in script.tasks)
+    for aname, gname in pairs:
+        R = session.algebras[aname]
+        G = session.group(gname, aname)
+        # the fixture's group is the cyclic group of diag(zeta^a)
+        assert {g.matrix for g in G.elements} == {
+            g.matrix for g in _diagonal_group(R, exponents).elements
+        }
+        assert oracle_radical(R, G, D).rows == semi_invariant_radical(R, exponents, D).rows
