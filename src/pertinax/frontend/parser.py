@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
+from .. import gbasis
 from ..errors import ConductorTooSmall, ParseError
 from ..freealgebra import Alphabet, FreePoly
+from ..galgebra import default_names
 from ..scalars import CycField
 
 KEYWORDS = {
@@ -35,10 +37,11 @@ KEYWORDS = {
 
 # Size caps checked at parse time (docs/dsl.md).  Beyond the first two a run
 # stalls before its first task: the field's reduction data has about
-# phi(m)^2 entries, and the Groebner completion of commutative(n) pairs up
-# its n(n-1)/2 relations (commutative(64) takes seconds).  The cofinality
-# task runs one product and writes one table entry per s <= s_max, and
-# computes radical powers up to n_cap.
+# phi(m)^2 entries, and an algebra's setup grows with its generators.
+# commutative(n) and an n x n quantum_affine are capped lower by the
+# completion bound gbasis.MAX_OVERLAP_PAIRS (``_cap_rules``).  The
+# cofinality task writes one table entry per s <= s_max, and computes
+# radical powers up to n_cap.
 MAX_CONDUCTOR = 1000
 MAX_GENERATORS = 64
 MAX_EXPONENT = 100
@@ -621,12 +624,14 @@ class _Parser:
             if tok.value < 1:
                 self.error("commutative needs at least one generator", tok)
             self._cap_generators(tok.value, tok)
+            self._cap_rules(tok.value, tok)
             self.expect_punct(")")
             expr = CommutativeExpr(tok.value)
         elif kind.value == "quantum_affine":
             self.expect_punct("(")
             expr = QuantumAffineExpr(self.parse_matrix())
             self._cap_generators(len(expr.matrix), kind)
+            self._cap_rules(len(expr.matrix), kind)
             self.expect_punct(")")
         elif kind.value == "downup":
             self.expect_punct("(")
@@ -668,6 +673,17 @@ class _Parser:
     def _cap_generators(self, n, token):
         if n > MAX_GENERATORS:
             self.error("an algebra has at most %d generators" % MAX_GENERATORS, token)
+
+    def _cap_rules(self, n, token):
+        # the n(n-1)/2 relations x_j x_i - q x_i x_j are reduced with distinct
+        # leading words, so the first completion sweep searches rules^2 pairs
+        rules = n * (n - 1) // 2
+        if rules * rules > gbasis.MAX_OVERLAP_PAIRS:
+            self.error(
+                "%d generators give %d commutation relations, so %d overlap pairs, above %d"
+                % (n, rules, rules * rules, gbasis.MAX_OVERLAP_PAIRS),
+                token,
+            )
 
     def parse_group(self) -> GroupDecl:
         t = self.expect_keyword("group")
@@ -781,11 +797,9 @@ def _algebra_gen_names(script, name, seen=None):
     decl = script.algebras[name]
     e = decl.expr
     if isinstance(e, CommutativeExpr):
-        n = e.n
-        return ["x", "y", "z"][:n] if n <= 3 else ["x%d" % (i + 1) for i in range(n)]
+        return default_names(e.n)
     if isinstance(e, QuantumAffineExpr):
-        n = len(e.matrix)
-        return ["x", "y", "z"][:n] if n <= 3 else ["x%d" % (i + 1) for i in range(n)]
+        return default_names(len(e.matrix))
     if isinstance(e, DownupExpr):
         return ["x", "y"]
     if isinstance(e, PresentationExpr):

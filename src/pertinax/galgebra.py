@@ -222,7 +222,7 @@ def make_commutative(field: CycField, n: int, D: int = DEFAULT_TRUNCATION) -> Gr
     """Polynomial ring on n degree one generators."""
     if n < 1:
         raise ValueError("need at least one generator")
-    names = _default_names(n)
+    names = default_names(n)
     alphabet = Alphabet(names)
     gens = [FreePoly.gen(alphabet, field, i) for i in range(n)]
     rels = [gens[j] * gens[i] - gens[i] * gens[j] for i in range(n) for j in range(i + 1, n)]
@@ -249,7 +249,7 @@ def make_quantum_affine(field: CycField, q, D: int = DEFAULT_TRUNCATION) -> Grad
                 raise BadQMatrix("q entries must be nonzero")
             if q[i][j] * q[j][i] != field.one:
                 raise BadQMatrix("q[%d][%d] is not inverse to q[%d][%d]" % (j, i, i, j))
-    names = _default_names(n)
+    names = default_names(n)
     alphabet = Alphabet(names)
     gens = [FreePoly.gen(alphabet, field, i) for i in range(n)]
     rels = [
@@ -341,7 +341,9 @@ def quotient_by_ideal(R: GradedAlgebra, gens, D: int | None = None) -> GradedAlg
     return GradedAlgebra(R.field, R.alphabet, rels, gb, basis, D, None, "quotient")
 
 
-def _default_names(n: int):
+def default_names(n: int):
+    """Generator names of commutative(n) and quantum affine spaces: x, y, z
+    for up to three generators, x1, ..., xn otherwise."""
     if n <= 3:
         return ["x", "y", "z"][:n]
     return ["x%d" % (i + 1) for i in range(n)]

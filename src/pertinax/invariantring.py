@@ -6,12 +6,14 @@ generators are extracted greedily by degree, modulo the products of the
 generators already chosen with lower degree invariants.  Cofinality
 certificates compare the power filtrations of the radical and of the
 invariant part a of the radical inside the ambient algebra, degree-wise up
-to the truncation bound.  The ideal products behind them are closures
-(``GradedIdealTable.product``): the radical powers r^n r and R a close
-over left multiplication by the letters, a R and a^s R over right
-multiplication by the letters, and a^s a over left multiplication by the
-invariant generators, since a is an ideal of the invariant ring but not
-of R.  Each closure is checked from the tables before it is used.
+to the truncation bound.  The ideals a R, R a and a^s R are the one-sided
+closures of the rows of a and a^s (``GradedIdealTable.closure``).  The
+products behind the powers are closures too (``GradedIdealTable.product``):
+r^n r closes over left multiplication by the letters, and a^s a over left
+multiplication by the invariant generators, since a is an ideal of the
+invariant ring but not of R.  Each product checks its closure from the
+tables before it relies on it.  Normality compares the one-sided closures
+of a single element.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .galgebra import AlgElement, GradedAlgebra
 from .skewgroup import (
     GradedIdealTable,
     intersect_with_invariants,
-    letter_closure,
     oracle_radical,
     vec_product,
 )
@@ -209,7 +210,9 @@ def cofinality_check(
     Also reports whether aR = Ra holds degree-wise, where a is the invariant
     part of the radical, and returns the table of a on the certificate.
     Containments are exact statements about the graded components of
-    degree <= D.  Each power a^{s+1} = a^s a closes over the invariant
+    degree <= D.  aR, Ra and a^s R are the right, left and right ideals of
+    R that the rows of a and a^s generate: their one-sided closures under
+    the letters.  Each power a^{s+1} = a^s a closes over the invariant
     generators: a is an ideal of the invariant ring A, so A a^s lies in
     a^s, and ``GradedIdealTable.product`` checks this closure from the
     tables before it relies on it.
@@ -221,9 +224,8 @@ def cofinality_check(
         inv = invariants_basis(R, G, D)
     aa = invariant_radical_table(R, G, D, radical=radical, inv=inv)
     inv_gens = [(d, R.coords(g, d)) for g, d in inv.generators]
-    full = GradedIdealTable.full(R, D)
-    aR = aa.product(full)
-    Ra = full.product(aa)
+    aR = aa.closure(False, True)
+    Ra = aa.closure(True, False)
     a_eq = aR.rows == Ra.rows
 
     entries = []
@@ -231,7 +233,7 @@ def cofinality_check(
     a_power = aa
     start = 1
     for s in range(1, s_max + 1):
-        asR = aR if s == 1 else a_power.product(full)
+        asR = aR if s == 1 else a_power.closure(False, True)
         n_found = None
         vacuous = False
         n = start
@@ -265,9 +267,10 @@ def normality_check(
     invariant subalgebra.
 
     For in_R, aR and Ra are the closures of {a} under right and under left
-    letter multiplication: since R_d = sum_x R_{d - deg x} x, the degree
-    da + d part of aR is sum_x (aR)_{da + d - deg x} x (plus a itself at
-    d = 0), and mirrored for Ra.  Their canonical rows are compared.  For
+    letter multiplication (``GradedIdealTable.closure``): since
+    R_d = sum_x R_{d - deg x} x, the degree da + d part of aR is
+    sum_x (aR)_{da + d - deg x} x (plus a itself at d = 0), and mirrored
+    for Ra.  Their canonical rows are compared.  For
     in_A, a is multiplied by every invariant basis row, since A is not
     generated by letters.
     """
@@ -282,11 +285,9 @@ def normality_check(
         if da is None:
             out.append({"element": a, "in_R": True, "in_A": True})
             continue
+        span = GradedIdealTable.from_elements(R, D, [a])
+        in_R = span.closure(False, True) == span.closure(True, False)
         ca = R.coords(a, da)
-        seeds = {da: [ca]}
-        aR = letter_closure(R, lambda d: seeds.get(d, ()), D, left=False, right=True)
-        Ra = letter_closure(R, lambda d: seeds.get(d, ()), D, left=True, right=False)
-        in_R = aR == Ra
         in_A = None
         if inv is not None and inv.contains(a):
             in_A = True

@@ -192,27 +192,14 @@ def row_reduce(vec, rows, red):
 
     ``rows`` is a list of ``(pivot_col, rowdict)`` sorted by pivot column,
     each row monic at its pivot and with no entries at other pivot columns.
+    Each step subtracts c times the pivot row, c the entry at its pivot;
+    the row is monic, so that entry becomes c - c = 0 and is dropped.
     """
     vec = dict(vec)
     for p, prow in rows:
         c = vec.get(p)
-        if c is None:
-            continue
-        del vec[p]
-        for col, v in prow.items():
-            if col == p:
-                continue
-            cur = vec.get(col)
-            if cur is None:
-                w = q_neg(q_mul(c, v, red))
-                if not q_is_zero(w):
-                    vec[col] = w
-            else:
-                w = q_sub(cur, q_mul(c, v, red))
-                if q_is_zero(w):
-                    del vec[col]
-                else:
-                    vec[col] = w
+        if c is not None:
+            dict_axpy(vec, q_neg(c), prow, red)
     return vec
 
 
@@ -246,21 +233,8 @@ def rref(rows, red, minpoly):
             prow = pivots.get(lead)
             if prow is None:
                 break
-            c = row.pop(lead)
-            for col, v in prow.items():
-                if col == lead:
-                    continue
-                cur = row.get(col)
-                if cur is None:
-                    w = q_neg(q_mul(c, v, red))
-                    if not q_is_zero(w):
-                        row[col] = w
-                else:
-                    w = q_sub(cur, q_mul(c, v, red))
-                    if q_is_zero(w):
-                        del row[col]
-                    else:
-                        row[col] = w
+            # prow is monic at lead, so this clears the entry there
+            dict_axpy(row, q_neg(row[lead]), prow, red)
         if not row:
             continue
         lead = min(row)
@@ -271,21 +245,7 @@ def rref(rows, red, minpoly):
     for p in sorted(pivots, reverse=True):
         row = pivots[p]
         for q in [c for c in row if c != p and c in pivots]:
-            c = row.pop(q)
-            for col, v in pivots[q].items():
-                if col == q:
-                    continue
-                cur = row.get(col)
-                if cur is None:
-                    w = q_neg(q_mul(c, v, red))
-                    if not q_is_zero(w):
-                        row[col] = w
-                else:
-                    w = q_sub(cur, q_mul(c, v, red))
-                    if q_is_zero(w):
-                        del row[col]
-                    else:
-                        row[col] = w
+            dict_axpy(row, q_neg(row[q]), pivots[q], red)
     return [(p, pivots[p]) for p in sorted(pivots)]
 
 

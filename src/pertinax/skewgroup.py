@@ -81,17 +81,7 @@ class GradedIdealTable:
     @classmethod
     def ideal_from_generators(cls, R: GradedAlgebra, gens, D: int, tag: str = "user"):
         """Two-sided ideal closure of homogeneous generators, degree by degree."""
-        by_degree: dict = {}
-        for e in gens:
-            if isinstance(e, AlgElement):
-                parts = e.homogeneous_parts()
-            else:
-                parts = R.element(e).homogeneous_parts()
-            for d, part in parts.items():
-                if d <= D:
-                    by_degree.setdefault(d, []).append(R.coords(part, d))
-        rows = letter_closure(R, lambda d: by_degree.get(d, ()), D, left=True, right=True)
-        return cls(R, D, rows, tag)
+        return cls.from_elements(R, D, gens, tag).closure(True, True)
 
     # -- queries -------------------------------------------------------------
 
@@ -189,40 +179,41 @@ class GradedIdealTable:
 
             (IJ)_d = sum_m m (IJ)_{d - deg m} + sum_i N_i J_{d-i},
 
-        built from the canonical rows of the lower degrees.  Otherwise,
-        over the letters only, when J is a right ideal, the mirrored form
-        with M_j, a complement of sum_x J_{j - deg x} x in J_j, holds:
-
-            (IJ)_d = sum_x (IJ)_{d - deg x} x + sum_j I_{d-j} M_j.
-
-        With J = R, M is the unit and (aR)_d = sum_x (aR)_{d - deg x} x + a_d.
-        Which form applies is decided exactly from the tables
-        (``one_sided_generators``); when none does, every pair of rows is
-        multiplied.  The echelon form is canonical, so every form gives the
-        rows of the pairwise span.
+        built from the canonical rows of the lower degrees.  Whether I is
+        so closed is decided exactly from the tables
+        (``one_sided_generators``); when it is not, every pair of rows is
+        multiplied.  The echelon form is canonical, so both forms give the
+        rows of the pairwise span.  An ideal that the rows of one table
+        generate, such as aR, is its ``closure``, not a product.
         """
         _same_frame(self, other)
         R = self.algebra
-        left_rows, right_rows = self.rows, other.rows
-        sides = (False, False)
+        left_rows, closed = self.rows, False
         gens = one_sided_generators(self, left=True, multipliers=multipliers)
         if gens is not None:
-            left_rows, sides = gens, (True, False)
-        elif multipliers is None:
-            gens = one_sided_generators(other, left=False)
-            if gens is not None:
-                right_rows, sides = gens, (False, True)
+            left_rows, closed = gens, True
 
         def seeds(d):
             return [
                 vec_product(R, i, d - i, u, v)
                 for i in range(d + 1)
                 for _, u in left_rows[i]
-                for _, v in right_rows[d - i]
+                for _, v in other.rows[d - i]
             ]
 
-        rows = letter_closure(R, seeds, self.D, *sides, multipliers=multipliers)
+        rows = letter_closure(R, seeds, self.D, closed, False, multipliers=multipliers)
         return GradedIdealTable(R, self.D, rows, tag or self.tag)
+
+    def closure(self, left: bool, right: bool) -> "GradedIdealTable":
+        """The left, right or two-sided ideal of R the rows generate, up to D.
+
+        ``letter_closure`` seeded with the table's own rows.  The closure
+        keeps the table's tag.
+        """
+        rows = letter_closure(
+            self.algebra, lambda d: [row for _, row in self.rows[d]], self.D, left, right
+        )
+        return GradedIdealTable(self.algebra, self.D, rows, self.tag)
 
     def power(self, n: int, tag=None) -> "GradedIdealTable":
         if n < 1:
@@ -235,14 +226,12 @@ class GradedIdealTable:
     # -- structural checks -------------------------------------------------------
 
     def is_two_sided_ideal_upto(self) -> bool:
-        """Letter multiples of each component land in the next components."""
-        field = self.algebra.field
-        return all(
-            linalg.in_span(field, vec, self.rows[d])
-            for d in range(self.D + 1)
-            for left in (True, False)
-            for vec in _letter_multiples(self.algebra, self.rows, d, left)
-        )
+        """Whether every letter multiple of a row lies in the table, up to D.
+
+        The two-sided closure contains the table, and equals it exactly
+        when every letter multiple x v and v x of a row v lies in it.
+        """
+        return self.closure(True, True) == self
 
     def is_g_stable(self, G: FiniteGroup) -> bool:
         field = self.algebra.field

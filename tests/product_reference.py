@@ -1,12 +1,13 @@
-"""Definition-level references for ideal products, invariant generators and
-normality.
+"""Definition-level references for ideal products, invariant generators,
+normality and the two-sided ideal check.
 
 Each builds its spans the way the definition reads, from ``AlgElement``
 multiplication: the product table from every pair of rows, the square of
 the augmentation ideal of the invariants from every pair of invariant basis
-elements, and the left and right multiples of an element from every basis
-word.  None of them uses ``vec_product`` or the letter closure of
-``pertinax.skewgroup``; they share only the rref kernel with the library.
+elements, the left and right multiples of an element from every basis
+word, and the letter multiples of every row of a table.  None of them uses
+``vec_product`` or the letter closure of ``pertinax.skewgroup``; they share
+only the rref kernel with the library.
 
 Kept outside ``conftest.py``, whose oracles avoid the kernel altogether.
 """
@@ -63,4 +64,21 @@ def pair_normal_in_R(a, D):
         right = linalg.rref(R.field, [R.coords(w * a, da + d) for w in words])
         if left != right:
             return False
+    return True
+
+
+def word_letter_closed(T):
+    """Whether x v and v x lie in T for every letter x and every row v of T
+    whose products stay within degree D."""
+    R = T.algebra
+    for d in range(T.D + 1):
+        for v in T.polys(d):
+            for x, dx in zip(R.gens(), R.alphabet.degrees):
+                if d + dx > T.D:
+                    continue
+                target = list(T.rows[d + dx])
+                rows = [row for _, row in target]
+                for p in (x * v, v * x):
+                    if linalg.rref(R.field, rows + [R.coords(p, d + dx)]) != target:
+                        return False
     return True

@@ -363,9 +363,9 @@ def test_cli_size_caps_fail_in_one_line(tmp_path, capsys, text, message, command
 def test_size_caps_are_inclusive():
     script = parse(
         "field cyclotomic(1000);\n"
-        "algebra R = commutative(64);\n"
+        "algebra R = commutative(45);\n"
         "algebra S = quantum_affine(%s);\n"
-        "algebra T = presentation { gens: %s; rels: ; };\n" % (_skew_matrix(64), _gens(64))
+        "algebra T = presentation { gens: %s; rels: ; };\n" % (_skew_matrix(45), _gens(64))
     )
     assert script.field.m == 1000 and len(script.algebras) == 3
     (task,) = parse(_COFINALITY + "task cofinality R G s_max=100 n_cap=100;\n").tasks
@@ -403,24 +403,34 @@ def test_basis_size_guard_is_inclusive(QQ, monkeypatch):
         make_commutative(QQ, 2, 6)
 
 
-def test_cli_completion_size_guard_fails_in_one_line(tmp_path, capsys):
-    """commutative(46) passes check, but its 46 * 45 / 2 commutation rules
-    give more ordered pairs of leading words than the completion examines."""
+def test_cli_completion_size_guard_fails_in_one_line(tmp_path, capsys, monkeypatch):
+    """commutative(46) and the 46 x 46 quantum_affine have 46 * 45 / 2
+    commutation rules, more ordered pairs of leading words than the
+    completion examines, so check and run both reject them at parse time.
+    A presentation's rules are counted only by the completion, which stops
+    the run; its bound is lowered here so that k[x, y, z] trips it."""
     rules = 46 * 45 // 2
-    minus_id = "[%s]" % ", ".join(
-        "[%s]" % ", ".join("-1" if i == j else "0" for j in range(46)) for i in range(46)
-    )
     script = tmp_path / "s.ptx"
+    for algebra, col in (("commutative(46)", 25), ("quantum_affine(%s)" % _skew_matrix(46), 13)):
+        script.write_text("field cyclotomic(2);\nalgebra R = %s;\n" % algebra)
+        message = (
+            "error: 2:%d: 46 generators give %d commutation relations, so %d overlap pairs, "
+            "above %d" % (col, rules, rules**2, gbasis.MAX_OVERLAP_PAIRS)
+        )
+        for command in (["check"], ["run", "--maxdeg", "2"]):
+            assert _main_error(capsys, command + [str(script)]) == (1, [message])
     script.write_text(
-        "field cyclotomic(2);\nalgebra R = commutative(46);\n"
-        "group G = matrices { g: %s; };\ntask pertinency R G maxdeg=2;\n" % minus_id
+        "field cyclotomic(2);\n"
+        "algebra R = presentation { gens: x, y, z; rels: y*x - x*y, z*x - x*z, z*y - y*z; };\n"
+        "group G = matrices { g: [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]; };\n"
+        "task pertinency R G maxdeg=2;\n"
     )
     assert cli.main(["check", str(script)]) == 0
     capsys.readouterr()
+    monkeypatch.setattr(gbasis, "MAX_OVERLAP_PAIRS", 8)
     message = (
-        "BasisTooLarge: Groebner completion has %d rules, so %d ordered pairs to search "
-        "for overlaps, above %d; present the algebra with fewer relations"
-        % (rules, rules**2, gbasis.MAX_OVERLAP_PAIRS)
+        "BasisTooLarge: Groebner completion has 3 rules, so 9 ordered pairs to search "
+        "for overlaps, above 8; present the algebra with fewer relations"
     )
     assert _main_error(capsys, ["run", str(script), "--maxdeg", "2"]) == (2, [message])
 

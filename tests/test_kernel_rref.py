@@ -9,6 +9,9 @@ basis coordinates of t^k * r for every row r of M and k < phi.  Its RREF
 consists of the rows t^k * e for the rows e of the RREF of M, and t^k * e
 has its pivot at coordinate k of e's pivot column, so the rows of M's RREF
 are the blown-up RREF rows whose pivot sits at coordinate 0.
+
+``kernel.row_reduce`` is checked against the same reference: its residue
+modulo a reference RREF is judged by comparing reference RREFs.
 """
 
 from fractions import Fraction
@@ -203,3 +206,63 @@ def test_rational_edge_cases(m, rows):
     out = _run(raw_rows, field)
     assert out == reference_rref(raw_rows, field.minpoly)
     assert_normal_form(out, field.phi, rational=True)
+
+
+def _coords(raw):
+    nums, den = raw
+    return [Fraction(n, den) for n in nums]
+
+
+def _axpy(u, f, v, phi):
+    """u + f v for raw-scalar vectors, computed over Fraction coordinates."""
+    zero = ((0,) * phi, 1)
+    out = {}
+    for c in set(u) | set(v):
+        z = [a + f * b for a, b in zip(_coords(u.get(c, zero)), _coords(v.get(c, zero)))]
+        if any(z):
+            out[c] = _raw(z)
+    return out
+
+
+@st.composite
+def row_reduce_cases(draw):
+    """A field, rows and a vector, with non-rational entries at phi > 1 when
+    drawn so, and the vector a rational combination of the rows when drawn
+    so."""
+    field = cyclotomic_field(draw(st.sampled_from(CONDUCTORS)))
+    phi = field.phi
+    rows = _to_raw(draw(rational_rows(max_rows=5, max_cols=5)), phi)
+    vec = _to_raw(
+        [draw(st.dictionaries(st.integers(0, 5), fractions.filter(bool), max_size=4))], phi
+    )[0]
+    if phi > 1 and draw(st.booleans()):
+        for target in rows + [vec]:
+            if target and draw(st.booleans()):
+                nums = draw(st.lists(st.integers(-9, 9), min_size=phi, max_size=phi))
+                nums[draw(st.integers(1, phi - 1))] = draw(st.integers(1, 9))
+                target[draw(st.sampled_from(sorted(target)))] = _normal(nums, 1)
+    if rows and draw(st.booleans()):
+        vec = {}
+        for row in rows:
+            vec = _axpy(vec, draw(fractions), row, phi)
+    return field, rows, vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=row_reduce_cases())
+def test_row_reduce_matches_reference(case):
+    """The residue of ``row_reduce`` modulo the reference RREF has no entry at
+    a pivot column, differs from the vector by an element of the span, and
+    is zero exactly when the vector lies in the span."""
+    field, rows, vec = case
+    echelon = reference_rref(rows, field.minpoly)
+    original = dict(vec)
+    residue = kernel.row_reduce(vec, echelon, field.red)
+    assert vec == original
+    assert not set(residue) & {p for p, _ in echelon}
+    for nums, den in residue.values():
+        assert any(nums) and den > 0 and gcd(*nums, den) == 1
+    basis = [row for _, row in echelon]
+    assert reference_rref(basis + [_axpy(vec, -1, residue, field.phi)], field.minpoly) == echelon
+    in_span = reference_rref(basis + [vec], field.minpoly) == echelon
+    assert (not residue) == in_span

@@ -18,7 +18,12 @@ from pertinax.skewgroup import (
     oracle_radical,
 )
 
-from product_reference import pair_invariant_generators, pair_normal_in_R, pair_product_rows
+from product_reference import (
+    pair_invariant_generators,
+    pair_normal_in_R,
+    pair_product_rows,
+    word_letter_closed,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 KINDS = ("two_sided", "left", "right", "full", "span")
@@ -111,12 +116,32 @@ def test_product_matches_pair_reference(data):
     kind_i, kind_j = data.draw(st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)))
     I = build_table(R, kind_i, data.draw(homogeneous_elements(R)))
     J = build_table(R, kind_j, data.draw(homogeneous_elements(R)))
-    # the case selection never misses a one-sided ideal
+    # the case selection never misses a one-sided ideal; a right ideal J
+    # takes the pairwise form unless I is a left ideal
     if kind_i in ("two_sided", "left", "full"):
         assert one_sided_generators(I, left=True) is not None
     if kind_j in ("two_sided", "right", "full"):
         assert one_sided_generators(J, left=False) is not None
     assert I.product(J).rows == reference_table(I, J).rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_closure_matches_pair_reference(data):
+    """Every kind of table closes to the products with R on either side,
+    and is a two-sided ideal exactly when its letter multiples stay in it."""
+    R = data.draw(algebras())
+    gens = data.draw(homogeneous_elements(R))
+    full = GradedIdealTable.full(R, R.D)
+    for kind in KINDS:
+        T = build_table(R, kind, gens)
+        RT = reference_table(full, T)
+        assert T.closure(False, True).rows == reference_table(T, full).rows, kind
+        assert T.closure(True, False).rows == RT.rows, kind
+        assert T.closure(True, True).rows == reference_table(RT, full).rows, kind
+        assert T.is_two_sided_ideal_upto() == word_letter_closed(T), kind
+    tagged = GradedIdealTable.from_elements(R, R.D, gens, tag="constructive")
+    assert tagged.closure(True, True).tag == "constructive"
 
 
 @settings(max_examples=30, deadline=None)
