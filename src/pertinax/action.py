@@ -10,8 +10,9 @@ for graded presentations is a complete automorphism check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from . import kernel
+from . import kernel, linalg
 from .errors import (
     ConductorTooSmall,
     NotAnAutomorphism,
@@ -19,15 +20,19 @@ from .errors import (
     TrivialGroupRejected,
 )
 from .freealgebra import FreePoly, Word
-from .galgebra import AlgElement, GradedAlgebra
+from .galgebra import AlgElement, GradedAlgebra, letter_images
 
 DEFAULT_MAX_ORDER = 64
 
 
 class LinearAuto:
-    """A graded algebra automorphism acting linearly on the generators."""
+    """A graded algebra automorphism acting linearly on the generators.
 
-    __slots__ = ("algebra", "matrix", "_images", "_word_cache")
+    ``rational`` records once whether every matrix entry is rational; on a
+    rational algebra the action columns are then kept as integer rows.
+    """
+
+    __slots__ = ("algebra", "matrix", "rational", "_images", "_word_cache")
 
     def __init__(self, algebra: GradedAlgebra, matrix, verify: bool = True):
         field = algebra.field
@@ -37,6 +42,7 @@ class LinearAuto:
             raise ValueError("automorphism matrix must be %d x %d" % (n, n))
         self.algebra = algebra
         self.matrix = rows
+        self.rational = all(c.is_rational() for row in rows for c in row)
         degs = algebra.alphabet.degrees
         for i in range(n):
             for j in range(n):
@@ -117,18 +123,93 @@ class LinearAuto:
         return self.apply_poly(elem.poly)
 
     def matrix_on_degree(self, d: int):
-        """Columns of the action on the degree d monomial basis (sparse raws)."""
-        cache = self.algebra._act_cache.setdefault(("act", self.matrix), {})
-        if d in cache:
-            return cache[d]
-        words = self.algebra.basis_words(d)
-        index = self.algebra.basis.index[d]
-        cols = []
-        for w in words:
-            vec = self._act_word(w)
-            cols.append({index[t]: c.raw for t, c in vec.items()})
-        cache[d] = cols
-        return cols
+        """The action on the degree d component, as a map form (``linalg``).
+
+        Column j is the image of the j-th basis word: ``(den, int_cols)``
+        when the matrix and the algebra are both rational, else
+        ``(None, raw_cols)``.  The form is cached on the algebra per matrix
+        and degree and must not be edited.
+
+        It is built by recursion on the first letter.  A basis word of
+        degree d >= 1 is w = x w' with x a letter, and w' = w[1:] is again a
+        basis word: the basis is the set of normal words, those with no
+        leading word of the Groebner basis as a subword, and a subword of a
+        subword of w is a subword of w.  Then
+
+            g(w) = g(x) g(w') = sum_y M[y][x] y g(w'),
+
+        y over the letters with M[y][x] != 0 (all of the degree of x), and
+        y g(w') = sum_t g(w')_t y t, from the columns of degree d - deg x
+        and the cached left ``letter_images`` of y in that degree.  Each
+        lower degree's columns are fetched once, and each y g(w') is formed
+        once per degree.
+        """
+        R = self.algebra
+        cache = R._act_cache.setdefault(("act", self.matrix), {})
+        form = cache.get(d)
+        if form is None:
+            form = self._columns(d, self.rational and R.rational)
+            cache[d] = form
+        return form
+
+    def _columns(self, d: int, integer: bool):
+        """The degree d form of ``matrix_on_degree``, integer when asked."""
+        R = self.algebra
+        field = R.field
+        if d == 0:
+            return (1, [{0: 1}]) if integer else (None, [{0: field.one.raw}])
+        if integer:
+            mden = lcm(*(c.raw[1] for row in self.matrix for c in row))
+            matrix = [[c.raw[0][0] * (mden // c.raw[1]) for c in row] for row in self.matrix]
+            axpy = kernel.int_axpy
+        else:
+            matrix = [[c.raw for c in row] for row in self.matrix]
+            axpy = linalg.field_axpy(field)
+        degs = R.alphabet.degrees
+        lower_cols: dict = {}  # lower degree -> its columns
+        by_letter: dict = {}  # x -> (lower degree, den, [(y, coefficient, images of y)])
+        memo: dict = {}  # (y, j) -> y g(w'), w' the j-th word of the lower degree
+        cols, dens = [], []
+        for w in R.basis.words[d]:
+            x = w[0]
+            entry = by_letter.get(x)
+            if entry is None:
+                lower = d - degs[x]
+                if lower not in lower_cols:
+                    lower_cols[lower] = self.matrix_on_degree(lower)
+                ys = [y for y in range(R.ngens) if self.matrix[y][x]]
+                forms = [letter_images(R, y, lower, True) for y in ys]
+                if integer:
+                    # common denominator: M / mden, lower columns, letter images
+                    den_l = lcm(*(den for den, _ in forms))
+                    den = mden * lower_cols[lower][0] * den_l
+                    coefs = [matrix[y][x] * (den_l // f[0]) for y, f in zip(ys, forms)]
+                    images = [f[1] for f in forms]
+                else:
+                    den = None
+                    coefs = [matrix[y][x] for y in ys]
+                    images = [linalg.raw_vectors(f, field) for f in forms]
+                entry = by_letter[x] = (lower, den, list(zip(ys, coefs, images)))
+            lower, den, terms = entry
+            j = R.basis.index[lower][w[1:]]
+            lower_col = lower_cols[lower][1][j]
+            col: dict = {}
+            for y, coef, images in terms:
+                yv = memo.get((y, j))
+                if yv is None:
+                    yv = memo[y, j] = {}
+                    for t, a in lower_col.items():
+                        axpy(yv, a, images[t])
+                axpy(col, coef, yv)
+            cols.append(col)
+            dens.append(den)
+        if not integer:
+            return None, cols
+        den = lcm(*dens)
+        return den, [
+            c if cd == den else {t: v * (den // cd) for t, v in c.items()}
+            for c, cd in zip(cols, dens)
+        ]
 
     def is_identity(self) -> bool:
         field = self.algebra.field

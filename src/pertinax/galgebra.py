@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import linalg
 from .errors import BadQMatrix, DegenerateQuotient, NotGraded, TruncationExceeded
 from .freealgebra import Alphabet, FreePoly, Word
 from .gbasis import QuotientBasis, TruncatedGB, gb_complete
@@ -19,7 +20,12 @@ DEFAULT_TRUNCATION = 12
 
 
 class GradedAlgebra:
-    """A connected graded algebra with exact arithmetic up to a degree bound."""
+    """A connected graded algebra with exact arithmetic up to a degree bound.
+
+    ``rational`` records once whether every relation has rational
+    coefficients.  Then so do the Groebner basis and every normal form, and
+    the cached letter and multiplier images are kept as integer rows.
+    """
 
     __slots__ = (
         "field",
@@ -30,6 +36,7 @@ class GradedAlgebra:
         "D",
         "known_gkdim",
         "name",
+        "rational",
         "_act_cache",
     )
 
@@ -42,6 +49,7 @@ class GradedAlgebra:
         self.D = D
         self.known_gkdim = known_gkdim
         self.name = name
+        self.rational = all(c.is_rational() for r in self.relations for c in r.terms.values())
         self._act_cache: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -199,6 +207,29 @@ class AlgElement:
 
     def __repr__(self):
         return "AlgElement(%s)" % self.poly
+
+
+def letter_images(R: GradedAlgebra, letter: int, d: int, left: bool):
+    """Coordinates of x * w (or w * x) for each degree d basis word w.
+
+    The images live over the basis of degree d + deg x and are returned as
+    a map form (``linalg``): ``(den, int_vecs)`` when R is rational, else
+    ``(None, raw_vecs)``.  They are cached on the algebra in that one form.
+    This is the letter-multiplication primitive behind ideal closure, the
+    ideal check, the radical oracle (``skewgroup``) and the action matrices
+    (``LinearAuto.matrix_on_degree``).
+    """
+    cache = R._act_cache.setdefault(("letter", letter, left), {})
+    images = cache.get(d)
+    if images is None:
+        index = R.basis.index[d + R.alphabet.degrees[letter]]
+        raw = []
+        for w in R.basis.words[d]:
+            prod = R.product_word_vec((letter,), w) if left else R.product_word_vec(w, (letter,))
+            raw.append({index[t]: sc.raw for t, sc in prod.items()})
+        images = (linalg.integer_form(raw) if R.rational else None) or (None, raw)
+        cache[d] = images
+    return images
 
 
 # -- constructors -----------------------------------------------------------

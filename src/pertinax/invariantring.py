@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import kernel, linalg
+from . import linalg
 from .action import FiniteGroup
 from .errors import TruncationExceeded
 from .galgebra import AlgElement, GradedAlgebra
@@ -93,16 +93,17 @@ def invariants_basis(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> 
     if D > R.D:
         raise TruncationExceeded("invariants beyond the algebra truncation")
     field = R.field
-    one = field.one.raw
     rows = []
     for d in range(D + 1):
-        # the Reynolds image: sum_g g.w over the degree d basis words w
-        gcols = [g.matrix_on_degree(d) for g in G.elements[1:]]
+        # the Reynolds image: sum_g g.w over the degree d basis words w,
+        # as integer rows (times a common denominator) when every g is rational
+        forms = [g.matrix_on_degree(d) for g in G.elements[1:]]
+        unit, scales, gcols, axpy = linalg.common_arithmetic(forms, field)
         sums = []
         for c in range(R.dim(d)):
-            row = {c: one}  # the identity's term
-            for cols in gcols:
-                kernel.dict_axpy(row, one, cols[c], field.red)
+            row = {c: unit}  # the identity's term
+            for scale, cols in zip(scales, gcols):
+                axpy(row, scale, cols[c])
             sums.append(row)
         rows.append(linalg.rref(field, sums))
     rows = tuple(tuple(rs) for rs in rows)
@@ -140,7 +141,7 @@ def trace_average_dims(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -
         h = R.dim(d)
         total = field.scalar(h)  # identity contributes its full trace
         for gi in range(1, G.order):
-            cols = G.elements[gi].matrix_on_degree(d)
+            cols = linalg.raw_vectors(G.elements[gi].matrix_on_degree(d), field)
             tr = field.zero
             for j in range(h):
                 raw = cols[j].get(j)

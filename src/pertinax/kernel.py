@@ -13,13 +13,18 @@ Two context objects parameterize the field and are passed explicitly:
 * ``minpoly`` -- integer coefficients of the cyclotomic polynomial,
   lowest degree first, length ``phi+1``, monic.
 
-``rref`` eliminates a matrix whose entries are all rational (every zeta
-coordinate zero) over the integers instead, fraction-free: most matrices
-of real runs are such, even over Q(zeta_3) or Q(zeta_6), and integer steps
-skip the cyclotomic products and the normalisation of every intermediate
-scalar.  It is exact with no check or fallback, because the RREF over Q of
-a rational matrix is its RREF over Q(zeta); the output is the same raw
-scalars in normal form.
+``rref`` takes two row forms, which may be mixed in one call: raw rows,
+dicts ``column -> raw scalar``, and integer rows, dicts ``column -> int``
+with nonzero entries that callers build from rational data with
+``int_axpy``, the integer twin of ``dict_axpy`` (an integer row stands for
+the same entries as raw scalars; only its span matters to the echelon
+form).  It eliminates a matrix whose entries are all rational (every zeta
+coordinate zero, and every entry of an integer row) over the integers
+instead, fraction-free: most matrices of real runs are such, even over
+Q(zeta_3) or Q(zeta_6), and integer steps skip the cyclotomic products and
+the normalisation of every intermediate scalar.  It is exact with no check
+or fallback, because the RREF over Q of a rational matrix is its RREF over
+Q(zeta); the output is the same raw scalars in normal form.
 
 Callers reach ``rref`` and ``row_reduce`` through this module's attributes
 and no function here calls either by its global name, so wrapping the
@@ -187,6 +192,17 @@ def dict_axpy(acc, c, terms, red):
     return acc
 
 
+def int_axpy(acc, c, terms):
+    """In place sparse update ``acc += c * terms`` over plain ints; drops zeros."""
+    for k, v in terms.items():
+        w = acc.get(k, 0) + c * v
+        if w:
+            acc[k] = w
+        else:
+            del acc[k]
+    return acc
+
+
 def row_reduce(vec, rows, red):
     """Residue of a sparse vector modulo rows in reduced echelon form.
 
@@ -206,15 +222,18 @@ def row_reduce(vec, rows, red):
 def rref(rows, red, minpoly):
     """Reduced row echelon form of sparse rows over the cyclotomic field.
 
-    Input rows are dicts ``column -> raw scalar``; the result is the
-    canonical list of ``(pivot_col, rowdict)`` sorted by pivot column with
-    unit pivots and zeros above and below every pivot.  Canonicity makes
-    equality of row spaces testable as equality of outputs.
+    Input rows are dicts ``column -> raw scalar`` or ``column -> int`` (see
+    the module docstring), in any mix; the result is the canonical list of
+    ``(pivot_col, rowdict)`` sorted by pivot column, with raw-scalar
+    entries, unit pivots and zeros above and below every pivot.
+    Canonicity makes equality of row spaces testable as equality of
+    outputs.  The input rows are left as they were.
 
-    When every entry is rational (all zeta coordinates zero), the rows go
-    to the integer path: ``_integer_rows`` clears denominators and
-    ``_integer_rref`` eliminates fraction-free over Z.  Any other matrix is
-    eliminated in the field below.  The two paths give identical output:
+    When every entry is rational, the rows go to the integer path:
+    ``_integer_rows`` clears the denominators of raw rows and takes integer
+    rows as they are, and ``_integer_rref`` eliminates fraction-free over
+    Z.  A matrix with any non-rational entry goes to ``_field_rref`` whole,
+    its integer rows as raw scalars.  The two paths give identical output:
     no step of either leaves the row space (rows are scaled by nonzero
     rationals, multiples of other rows are added, and repeats of a unit
     row are dropped), the RREF of a row space is unique, and the RREF over
@@ -225,9 +244,18 @@ def rref(rows, red, minpoly):
     int_rows = _integer_rows(rows, phi)
     if int_rows is not None:
         return _integer_rref(int_rows, phi)
+    return _field_rref(rows, red, minpoly)
+
+
+def _field_rref(rows, red, minpoly):
+    """Gauss-Jordan elimination in Q(zeta), integer rows read as raw scalars."""
+    zeros = (0,) * (len(minpoly) - 2)
     pivots = {}
     for row in rows:
-        row = dict(row)
+        if row and type(next(iter(row.values()))) is int:
+            row = {col: ((v,) + zeros, 1) for col, v in row.items()}
+        else:
+            row = dict(row)
         while row:
             lead = min(row)
             prow = pivots.get(lead)
@@ -250,37 +278,42 @@ def rref(rows, red, minpoly):
 
 
 def _integer_rows(rows, phi):
-    """The rows as integer dicts with denominators cleared, if all rational.
+    """The rows as new integer dicts, if every entry is rational.
 
-    Each row is scaled by the lcm of its denominators, so it spans the same
-    line; a row with a single entry at column c spans the line of the unit
-    vector e_c and is kept once per c.  Returns ``None`` if an entry has a
-    nonzero zeta coordinate.
+    An integer row is copied.  A raw row is scaled by the lcm of its denominators, so it
+    spans the same line.  A row with a single entry at column c spans the
+    line of the unit vector e_c and is kept once per c, whichever form it
+    came in.  Returns ``None`` at the first raw entry with a nonzero zeta
+    coordinate.
     """
-    if phi > 1:
-        for row in rows:
-            for nums, _ in row.values():
-                if any(nums[1:]):
-                    return None
     out = []
     units = set()
     for row in rows:
-        if len(row) == 1:
-            (c,) = row
-            if c not in units and row[c][0][0]:
-                units.add(c)
-                out.append({c: 1})
-            continue
-        ints = {}
-        den = 1
-        for c, (nums, d) in row.items():
-            if nums[0]:
-                ints[c] = nums[0]
+        if len(row) > 1:
+            if type(next(iter(row.values()))) is int:
+                out.append(dict(row))
+                continue
+            den = 1
+            for nums, d in row.values():
+                if phi > 1 and any(nums[1:]):
+                    return None
                 if d != 1:
                     den = den * d // gcd(den, d)
-        if den != 1:
-            ints = {c: v * (den // row[c][1]) for c, v in ints.items()}
-        out.append(ints)
+            row = {c: nums[0] * (den // d) for c, (nums, d) in row.items() if nums[0]}
+            if len(row) > 1:
+                out.append(row)
+                continue
+        if not row:
+            continue
+        ((c, v),) = row.items()
+        if type(v) is not int:
+            if phi > 1 and any(v[0][1:]):
+                return None
+            if not v[0][0]:
+                continue
+        if c not in units:
+            units.add(c)
+            out.append({c: 1})
     return out
 
 

@@ -3,9 +3,18 @@
 Vectors are dicts ``column -> raw scalar``; spans are kept in canonical
 reduced row echelon form so that equality of subspaces is equality of the
 stored rows.  Everything delegates the arithmetic to the kernel backend.
+
+Linear maps on a graded component (letter and multiplier images, group
+action columns) are lists of column vectors in one of two forms, a pair
+``(den, vecs)``: ``den`` None means ``vecs`` holds raw scalars, and an int
+``den`` means every image is rational and column j is ``vecs[j] / den``
+with ``vecs[j]`` a dict ``column -> int``.  Rational maps are kept in the
+integer form only, so their rows reach ``kernel.rref`` as integers.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from . import kernel
 
@@ -92,3 +101,82 @@ def intersect_rows(field, rows1, rows2, width):
 
 def sum_rows(field, rows1, rows2):
     return rref(field, [dict(r) for _, r in rows1] + [dict(r) for _, r in rows2])
+
+
+# -- maps in integer or raw form ------------------------------------------------
+
+
+def integer_form(vecs):
+    """``(den, int_vecs)`` with vecs[j] = int_vecs[j] / den, or None.
+
+    ``vecs`` are raw vectors; den is the lcm of their denominators, and
+    None is returned when an entry has a nonzero zeta coordinate.
+    """
+    den = 1
+    for vec in vecs:
+        for nums, d in vec.values():
+            if any(nums[1:]):
+                return None
+            if d != 1:
+                den = lcm(den, d)
+    return den, [{c: nums[0] * (den // d) for c, (nums, d) in vec.items()} for vec in vecs]
+
+
+def raw_vectors(form, field):
+    """The raw vectors of a map in either form (the cached list when raw)."""
+    den, vecs = form
+    if den is None:
+        return vecs
+    zeros = [0] * (field.phi - 1)
+    return [{c: kernel.q_normalize([v] + zeros, den) for c, v in vec.items()} for vec in vecs]
+
+
+def common_arithmetic(forms, field, signs=None):
+    """One arithmetic for a signed sum of maps given in either form.
+
+    Returns ``(unit, scales, vecs, axpy)`` such that, for every j, the sum
+    over i of ``axpy(acc, scales[i], vecs[i][j])`` adds L times the sum of
+    ``signs[i]`` (default 1) times the image of j under map i, with unit
+    standing for L times the identity.  When every form is an integer form,
+    L is the lcm of their denominators, the vecs are the integer vectors
+    and axpy is ``kernel.int_axpy``, so rows built this way are integer
+    rows.  Otherwise L = 1 and everything is raw, with axpy
+    ``kernel.dict_axpy`` over the field.  Either way the rows span the same
+    lines as the raw sums.
+    """
+    if signs is None:
+        signs = [1] * len(forms)
+    if all(den is not None for den, _ in forms):
+        unit = lcm(1, *(den for den, _ in forms))
+        scales = [s * (unit // den) for s, (den, _) in zip(signs, forms)]
+        return unit, scales, [v for _, v in forms], kernel.int_axpy
+    scales = [field.scalar(s).raw for s in signs]
+    return field.one.raw, scales, [raw_vectors(f, field) for f in forms], field_axpy(field)
+
+
+def field_axpy(field):
+    """``kernel.dict_axpy`` over the field, with the signature of ``int_axpy``."""
+    red = field.red
+
+    def axpy(acc, c, terms):
+        return kernel.dict_axpy(acc, c, terms, red)
+
+    return axpy
+
+
+def scaled_integer_rows(echelon):
+    """Each row of an echelon list times the lcm of its denominators, as an
+    integer dict; None if an entry is not rational."""
+    out = []
+    for _, row in echelon:
+        den = 1
+        for nums, d in row.values():
+            if any(nums[1:]):
+                return None
+            if d != 1:
+                den = lcm(den, d)
+        if den == 1:
+            out.append({c: nums[0] for c, (nums, _) in row.items()})
+        else:
+            out.append({c: nums[0] * (den // d) for c, (nums, d) in row.items()})
+    return out

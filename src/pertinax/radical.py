@@ -426,12 +426,12 @@ def _eigenvectors_degree_one(R, sigma):
         probe = probe * sigma
         order += 1
     zeta = field.primitive_root(order)
-    index = R.basis.index[1]
+    action = linalg.raw_vectors(sigma.matrix_on_degree(1), field)
     for k in range(order):
         lam = zeta**k
         cols = []
-        for j, w in enumerate(R.basis.words[1]):
-            col = {index[t]: c.raw for t, c in sigma._act_word(w).items()}
+        for j in range(h):
+            col = dict(action[j])  # the action columns are cached: edit a copy
             cur = col.get(j)
             diff = kernel.q_sub(cur, lam.raw) if cur is not None else (-lam).raw
             if kernel.q_is_zero(diff):

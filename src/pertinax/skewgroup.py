@@ -28,7 +28,7 @@ from functools import partial
 from . import kernel, linalg
 from .action import FiniteGroup
 from .errors import TruncationExceeded
-from .galgebra import AlgElement, GradedAlgebra
+from .galgebra import AlgElement, GradedAlgebra, letter_images
 
 
 class GradedIdealTable:
@@ -239,7 +239,7 @@ class GradedIdealTable:
             for d in range(self.D + 1):
                 if not self.rows[d]:
                     continue
-                cols = g.matrix_on_degree(d)
+                cols = linalg.raw_vectors(g.matrix_on_degree(d), field)
                 for _, row in self.rows[d]:
                     img: dict = {}
                     for c, v in row.items():
@@ -286,32 +286,13 @@ def _same_frame(a: GradedIdealTable, b: GradedIdealTable):
         raise ValueError("tables over different algebras or bounds")
 
 
-def letter_images(R: GradedAlgebra, letter: int, d: int, left: bool):
-    """Coordinates of x * w (or w * x) for each degree d basis word w.
-
-    The images live over the basis of degree d + deg x; they are cached on
-    the algebra.  This is the letter-multiplication primitive behind ideal
-    closure, the ideal check and the radical oracle.
-    """
-    cache = R._act_cache.setdefault(("letter", letter, left), {})
-    images = cache.get(d)
-    if images is None:
-        index = R.basis.index[d + R.alphabet.degrees[letter]]
-        images = []
-        for w in R.basis.words[d]:
-            prod = R.product_word_vec((letter,), w) if left else R.product_word_vec(w, (letter,))
-            images.append({index[t]: sc.raw for t, sc in prod.items()})
-        cache[d] = images
-    return images
-
-
 def multiplier_images(R: GradedAlgebra, multiplier, d: int, left: bool):
     """Coordinates of m * w (or w * m) for each degree d basis word w.
 
     ``multiplier`` is a homogeneous element m given as ``(degree,
     coordinates)``.  The images live over the basis of degree d + deg m and
-    are cached on the algebra under the coordinates of m, like
-    ``letter_images``.
+    are cached on the algebra under the coordinates of m, in one form like
+    ``letter_images``: integer when R and the coordinates of m are rational.
     """
     dm, coords = multiplier
     key = ("multiplier", dm, tuple(sorted(coords.items())), left)
@@ -319,12 +300,13 @@ def multiplier_images(R: GradedAlgebra, multiplier, d: int, left: bool):
     images = cache.get(d)
     if images is None:
         one = R.field.one.raw
-        images = [
+        raw = [
             vec_product(R, dm, d, coords, {j: one})
             if left
             else vec_product(R, d, dm, {j: one}, coords)
             for j in range(R.dim(d))
         ]
+        images = (linalg.integer_form(raw) if R.rational else None) or (None, raw)
         cache[d] = images
     return images
 
@@ -342,25 +324,39 @@ def _multiplier_maps(R: GradedAlgebra, multipliers, left: bool):
     return [(m[0], partial(multiplier_images, R, m, left=left)) for m in multipliers]
 
 
-def _letter_multiples(R: GradedAlgebra, rows, d: int, left: bool, multipliers=None, blocks=1):
+def _letter_multiples(
+    R: GradedAlgebra, rows, ints, d: int, left: bool, multipliers=None, blocks=1
+):
     """The vectors m * v (or v * m) in degree d, m over the multipliers (the
     letters by default) and v over the rows of degree d - deg m of a
-    per-degree echelon list over R^blocks (column b * h_d + t)."""
-    red = R.field.red
+    per-degree echelon list over R^blocks (column b * h_d + t).
+
+    ``ints[i]`` is None or the rows of degree i as integer rows
+    (``linalg.scaled_integer_rows``).  Where they and the images of m are
+    both integer, the multiples are integer rows formed with int products;
+    otherwise they are raw.  Either way each spans the line of m * v.
+    """
+    field = R.field
+    raw_axpy = linalg.field_axpy(field)
     h = R.dim(d)
     out = []
     for dm, images in _multiplier_maps(R, multipliers, left):
         lower = d - dm
         if lower < 0 or not rows[lower]:
             continue
-        maps = images(lower)
+        form = images(lower)
+        if form[0] is not None and ints[lower] is not None:
+            maps, vecs, axpy = form[1], ints[lower], kernel.int_axpy
+        else:
+            maps, axpy = linalg.raw_vectors(form, field), raw_axpy
+            vecs = [row for _, row in rows[lower]]
         if blocks > 1:
             # m (r_b)_b = (m r_b)_b: the images, shifted into each block
             maps = [{b * h + t: v for t, v in img.items()} for b in range(blocks) for img in maps]
-        for _, row in rows[lower]:
+        for row in vecs:
             vec: dict = {}
-            for c, raw in row.items():
-                kernel.dict_axpy(vec, raw, maps[c], red)
+            for c, a in row.items():
+                axpy(vec, a, maps[c])
             out.append(vec)
     return out
 
@@ -381,6 +377,15 @@ def letter_closure(
     invariant ring.  The images come from the cached ``letter_images`` and
     ``multiplier_images``.
 
+    When R is rational, each finished degree's canonical rows are also
+    turned into integer rows once, each scaled by the lcm of its
+    denominators, and kept only while the closure runs; the multiples
+    m * v of rational rows by integer images are then formed in int
+    arithmetic and reach ``kernel.rref`` as integer rows.  Rows with a
+    non-rational entry, and images that are not rational, take raw
+    arithmetic.  The span of each degree, and so its echelon form, is the
+    same either way.
+
     ``blocks`` is the rank of the free module R^blocks the span lives in:
     a degree d vector has column b * h_d + t for coordinate t of block b,
     and m acts on every block alike.  Ideals of R take the default 1; the
@@ -390,14 +395,17 @@ def letter_closure(
     """
     field = R.field
     rows: list = []
+    ints: list = []
     for d in range(D + 1):
         vecs = []
         if left:
-            vecs += _letter_multiples(R, rows, d, True, multipliers, blocks)
+            vecs += _letter_multiples(R, rows, ints, d, True, multipliers, blocks)
         if right:
-            vecs += _letter_multiples(R, rows, d, False, multipliers, blocks)
+            vecs += _letter_multiples(R, rows, ints, d, False, multipliers, blocks)
         vecs += seeds(d)
-        rows.append(linalg.rref(field, vecs))
+        echelon = linalg.rref(field, vecs)
+        rows.append(echelon)
+        ints.append(linalg.scaled_integer_rows(echelon) if R.rational else None)
     return rows
 
 
@@ -417,9 +425,10 @@ def one_sided_generators(table: GradedIdealTable, left: bool, multipliers=None):
     """
     R = table.algebra
     field = R.field
+    ints = [linalg.scaled_integer_rows(rs) if R.rational else None for rs in table.rows]
     out = []
     for d in range(table.D + 1):
-        images = linalg.rref(field, _letter_multiples(R, table.rows, d, left, multipliers))
+        images = linalg.rref(field, _letter_multiples(R, table.rows, ints, d, left, multipliers))
         if not linalg.span_contains(field, images, table.rows[d]):
             return None
         pivots = {p for p, _ in images}
@@ -489,28 +498,24 @@ def oracle_radical(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> Gr
     if D > R.D:
         raise TruncationExceeded("oracle degree beyond the algebra truncation")
     field = R.field
-    red = field.red
-    one = field.one.raw
-    minus_one = kernel.q_neg(one)
     k = G.order
-    g0 = G.elements[-1]
 
     def seeds(d):
         # pi(|G| e w) = (g.w - g0.w)_{g != g0} for w in the degree d basis,
-        # blocks in the order G.elements[1:-1], then the identity
+        # blocks in the order G.elements[1:-1], then the identity; integer
+        # rows (times the lcm of the denominators) when every g is rational
         h = R.dim(d)
-        gcols = [g.matrix_on_degree(d) for g in G.elements[1:-1]]
-        g0cols = g0.matrix_on_degree(d)
+        forms = [g.matrix_on_degree(d) for g in G.elements[1:]]
+        signs = [1] * (k - 2) + [-1]
+        unit, scales, cols, axpy = linalg.common_arithmetic(forms, field, signs)
         out = []
         for c in range(h):
-            row = {(k - 2) * h + c: one}  # 1.w = w
-            for b, cols in enumerate(gcols):
-                base = b * h
-                for t, v in cols[c].items():
-                    row[base + t] = v
+            row = {(k - 2) * h + c: unit}  # 1.w = w
             for b in range(k - 1):
                 base = b * h
-                kernel.dict_axpy(row, minus_one, {base + t: v for t, v in g0cols[c].items()}, red)
+                if b < k - 2:
+                    axpy(row, scales[b], {base + t: v for t, v in cols[b][c].items()})
+                axpy(row, scales[-1], {base + t: v for t, v in cols[-1][c].items()})
             out.append(row)
         return out
 

@@ -5,7 +5,9 @@ the group.  This module solves that linear system: the columns of the
 stacked map, of width (|G| - 1) h_d, go to ``linalg.kernel_rows``.
 ``pertinax.invariantring.invariants_basis`` takes the image of the
 Reynolds operator instead, so the two agree only if that image is the
-whole fixed space.
+whole fixed space.  The action columns come from ``LinearAuto.apply`` on
+each basis word, not from ``matrix_on_degree``, which the library builds by
+its own recursion.
 """
 
 from pertinax import kernel, linalg
@@ -18,6 +20,12 @@ def fixed_space_rows(R, G, D=None):
     return tuple(tuple(_fixed_component(R, G, d)) for d in range(D + 1))
 
 
+def action_columns(g, d):
+    """Raw coordinates of g(w) for the degree d basis words w, by ``apply``."""
+    R = g.algebra
+    return [R.coords(g.apply(R.from_word(w)), d) for w in R.basis_words(d)]
+
+
 def _fixed_component(R, G, d):
     h = R.dim(d)
     if h == 0:
@@ -25,7 +33,7 @@ def _fixed_component(R, G, d):
     field = R.field
     one = field.one.raw
     k = G.order
-    gcols = [G.elements[gi].matrix_on_degree(d) for gi in range(1, k)]
+    gcols = [action_columns(G.elements[gi], d) for gi in range(1, k)]
     cols = []
     for j in range(h):
         col: dict = {}

@@ -6,7 +6,8 @@ averaging idempotent e.  This module spans W_d the way the definition reads:
 one row |G| u e v = sum_g u (g.v) # g for every monomial pair (u, v) with
 deg u + deg v = d.  It shares only the rref kernel with the library, not the
 letter recursion that ``pertinax.skewgroup.oracle_radical`` uses, so the two
-agree only if the recursion spans the same W_d.
+agree only if the recursion spans the same W_d.  The action columns g.v come
+from ``LinearAuto.apply``, not from the recursion of ``matrix_on_degree``.
 
 ``semi_invariant_radical`` is a second reference that never forms R # G.
 For a cyclic group generated by a diagonal sigma = diag(zeta^a_i) on the
@@ -34,6 +35,8 @@ from math import gcd
 from pertinax import kernel, linalg
 from pertinax.skewgroup import GradedIdealTable
 
+from invariant_reference import action_columns
+
 
 def pair_oracle_radical(R, G, D=None):
     """The radical table from every monomial pair of every split."""
@@ -59,7 +62,7 @@ def _pair_component(R, G, d):
         words_j = R.basis.words[j]
         if not words_i or not words_j:
             continue
-        gcols = [G.elements[gi].matrix_on_degree(j) for gi in range(1, k)]
+        gcols = [action_columns(G.elements[gi], j) for gi in range(1, k)]
         for u in words_i:
             # products of u against the whole degree-j basis, reused per v
             prods = [

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pertinax import linalg
 from pertinax.action import LinearAuto, act, group_generate, identity_auto, reynolds
@@ -13,10 +14,16 @@ from pertinax.errors import (
     NotFiniteWithinBound,
     TrivialGroupRejected,
 )
-from pertinax.galgebra import make_commutative, make_downup, make_skew_symmetric
+from pertinax.galgebra import (
+    make_commutative,
+    make_downup,
+    make_quantum_affine,
+    make_skew_symmetric,
+)
 from pertinax.scalars import cyclotomic_field
 
-from invariant_reference import fixed_space_rows
+from fixture_cases import fixture_pairs
+from invariant_reference import action_columns, fixed_space_rows
 
 
 def test_swap_group_on_plane(QQ):
@@ -127,3 +134,79 @@ def test_conductor_enforced_on_element_orders():
     R = make_commutative(field, 2, 4)
     with pytest.raises(ConductorTooSmall):
         group_generate([LinearAuto(R, [[0, 1], [1, 0]])])  # order 2 needs 2 | m
+
+
+# -- the action columns against apply ---------------------------------------------
+
+
+def assert_columns_match_apply(g, D):
+    """Every column of ``matrix_on_degree`` up to D is the coordinate vector
+    of ``apply`` on its basis word, and the form is integer exactly when the
+    matrix and the algebra are rational."""
+    R = g.algebra
+    for d in range(D + 1):
+        form = g.matrix_on_degree(d)
+        assert (form[0] is not None) == (g.rational and R.rational)
+        assert linalg.raw_vectors(form, R.field) == action_columns(g, d)
+
+
+@st.composite
+def linear_actions(draw):
+    """An automorphism of a small algebra and a truncation degree.
+
+    Dense invertible integer (and sometimes fractional) matrices on
+    k[x,y,z], signed permutations on the skew 3-space, a diagonal zeta_3
+    action (non-rational) on either, and rational diagonal actions on the
+    quantum plane yx = q xy with q = 1/2 or -2/3, whose letter images carry
+    denominators.
+    """
+    kind = draw(st.sampled_from(("dense", "signed", "diagonal", "quantum")))
+    D = draw(st.integers(0, 5))
+    if kind == "quantum":
+        q = draw(st.sampled_from((Fraction(1, 2), Fraction(-2, 3))))
+        R = make_quantum_affine(cyclotomic_field(2), [[1, q], [1 / q, 1]], D)
+        a, b = draw(st.lists(st.sampled_from((1, -1, 2, Fraction(1, 3))), min_size=2, max_size=2))
+        return LinearAuto(R, [[a, 0], [0, b]]), D
+    if kind == "dense":
+        field = cyclotomic_field(draw(st.sampled_from((1, 2, 6))))
+        entries = st.integers(-3, 3)
+        if draw(st.booleans()):
+            entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+        matrix = draw(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3))
+        R = make_commutative(field, 3, D)
+    elif kind == "signed":
+        field = cyclotomic_field(2)
+        perm = draw(st.permutations(range(3)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3))
+        matrix = [[signs[j] if perm[j] == i else 0 for j in range(3)] for i in range(3)]
+        R = make_skew_symmetric(field, 3, D)
+    else:
+        field = cyclotomic_field(3)
+        zeta = field.zeta()
+        exps = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+        matrix = [[zeta ** exps[i] if i == j else 0 for j in range(3)] for i in range(3)]
+        if draw(st.booleans()):
+            R = make_commutative(field, 3, D)
+        else:
+            R = make_skew_symmetric(field, 3, D)
+    try:
+        g = LinearAuto(R, matrix)
+    except NotAnAutomorphism:  # a singular dense matrix
+        assume(False)
+    return g, D
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=linear_actions())
+def test_matrix_on_degree_matches_apply(case):
+    g, D = case
+    assert_columns_match_apply(g, D)
+
+
+def test_matrix_on_degree_matches_apply_on_fixtures():
+    seen = 0
+    for _, _, G in fixture_pairs(8):
+        for g in G.elements:
+            assert_columns_match_apply(g, 8)
+        seen += 1
+    assert seen >= 9

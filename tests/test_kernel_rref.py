@@ -14,8 +14,10 @@ are the blown-up RREF rows whose pivot sits at coordinate 0.
 modulo a reference RREF is judged by comparing reference RREFs.
 """
 
+import ast
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -187,6 +189,79 @@ def test_integer_path_equals_field_path(m, rows):
 F = Fraction
 
 
+# -- integer rows: the form callers build from rational data -------------------
+
+
+def _to_int(row):
+    """A Fraction row times the lcm of its denominators, as a plain-int row."""
+    den = lcm(1, *(f.denominator for f in row.values()))
+    return {c: int(f * den) for c, f in row.items()}
+
+
+def _spied_run(rows, field):
+    """``_run`` with both elimination paths spied on: (output, integer calls,
+    field calls)."""
+    with (
+        mock.patch.object(kernel, "_integer_rref", wraps=kernel._integer_rref) as ints,
+        mock.patch.object(kernel, "_field_rref", wraps=kernel._field_rref) as in_field,
+    ):
+        out = _run(rows, field)
+    return out, ints.call_count, in_field.call_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.sampled_from(CONDUCTORS), rows=rational_rows(), data=st.data())
+def test_integer_rows_match_reference(m, rows, data):
+    """Plain-int rows, alone or mixed with rational raw rows, take the
+    integer path and give the reference RREF of the rows they stand for."""
+    field = cyclotomic_field(m)
+    raw_rows = _to_raw(rows, field.phi)
+    as_int = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    mixed = [_to_int(r) if flag else raw for r, raw, flag in zip(rows, raw_rows, as_int)]
+    out, int_calls, field_calls = _spied_run(mixed, field)
+    assert (int_calls, field_calls) == (1, 0)  # all-rational input never reaches the field
+    assert out == reference_rref(raw_rows, field.minpoly)
+    assert_normal_form(out, field.phi, rational=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([m for m in CONDUCTORS if cyclotomic_field(m).phi > 1]),
+    rows=rational_rows(max_rows=5, max_cols=4),
+    data=st.data(),
+)
+def test_integer_rows_with_a_non_rational_row_take_the_field_path(m, rows, data):
+    field = cyclotomic_field(m)
+    phi = field.phi
+    nums = data.draw(st.lists(st.integers(-9, 9), min_size=phi, max_size=phi))
+    nums[data.draw(st.integers(1, phi - 1))] = data.draw(st.integers(1, 9))
+    odd = {data.draw(st.integers(0, 4)): _normal(nums, data.draw(st.integers(1, 6)))}
+    int_rows = [_to_int(r) for r in rows]
+    at = data.draw(st.integers(0, len(int_rows)))
+    mixed = int_rows[:at] + [odd] + int_rows[at:]
+    out, int_calls, field_calls = _spied_run(mixed, field)
+    assert (int_calls, field_calls) == (0, 1)
+    raw_rows = _to_raw(rows, phi)
+    assert out == reference_rref(raw_rows[:at] + [odd] + raw_rows[at:], field.minpoly)
+    assert_normal_form(out, phi, rational=False)
+
+
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_repeated_unit_rows_in_both_forms(m):
+    """Single-entry rows, integer or raw, of any nonzero value, are kept once
+    per column; rows with more entries are unaffected."""
+    field = cyclotomic_field(m)
+    raw = _to_raw([{3: F(5, 2)}, {1: F(-1)}, {0: F(1), 3: F(2)}], field.phi)
+    rows = [{3: 4}, {3: -7}, raw[0], {1: 1}, raw[1], {3: 1}, raw[2], {0: 2, 3: 4}, {1: -3}]
+    assert kernel._integer_rows(rows, field.phi) == [{3: 1}, {1: 1}, {0: 1, 3: 2}, {0: 2, 3: 4}]
+    out, int_calls, field_calls = _spied_run(rows, field)
+    assert (int_calls, field_calls) == (1, 0)
+    unit = ((1,) + (0,) * (field.phi - 1), 1)
+    assert out == [(0, {0: unit}), (1, {1: unit}), (3, {3: unit})]
+    with mock.patch.object(kernel, "_integer_rows", return_value=None):
+        assert _run(rows, field) == out  # the field path agrees
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -266,3 +341,41 @@ def test_row_reduce_matches_reference(case):
     assert reference_rref(basis + [_axpy(vec, -1, residue, field.phi)], field.minpoly) == echelon
     in_span = reference_rref(basis + [vec], field.minpoly) == echelon
     assert (not residue) == in_span
+
+
+# -- every echelon call goes through the module attribute ------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pertinax"
+PRIVATE = {"_integer_rref", "_integer_rows", "_field_rref"}
+WRAPPED = {"rref", "row_reduce"}
+
+
+def _bypasses(tree):
+    """Names in a module that reach the elimination without ``kernel.rref``
+    or ``kernel.row_reduce``: the kernel's private paths, by any route, and
+    the wrapped functions imported by name (a binding a wrapper of the
+    module attribute does not see)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in PRIVATE:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in PRIVATE:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "kernel":
+            found += [a.name for a in node.names if a.name in WRAPPED | PRIVATE]
+    return found
+
+
+def test_echelon_calls_go_through_the_kernel_module():
+    """``perfbench/tracer.py`` wraps ``kernel.rref`` and ``kernel.row_reduce``
+    and records every call; outside the kernel no module may go round them."""
+    files = sorted(p for p in SRC.rglob("*.py") if p != SRC / "kernel.py")
+    assert len(files) >= 10
+    for path in files:
+        assert _bypasses(ast.parse(path.read_text())) == [], path.name
+    bad = (
+        "from .kernel import rref\n"
+        "from pertinax.kernel import row_reduce\n"
+        "kernel._integer_rows(r, 1)\n"
+    )
+    assert _bypasses(ast.parse(bad)) == ["rref", "row_reduce", "_integer_rows"]

@@ -1,13 +1,9 @@
 """Ideal products, invariant generators and normality against pairwise
 references built from element multiplication."""
 
-from pathlib import Path
-
 from hypothesis import given, settings, strategies as st
 
 from pertinax.freealgebra import Alphabet, FreePoly
-from pertinax.frontend.parser import parse
-from pertinax.frontend.runner import Session
 from pertinax.galgebra import make_downup, make_free, make_presentation, make_quantum_affine
 from pertinax.invariantring import invariant_radical_table, invariants_basis, normality_check
 from pertinax.scalars import cyclotomic_field
@@ -18,6 +14,7 @@ from pertinax.skewgroup import (
     oracle_radical,
 )
 
+from fixture_cases import fixture_pairs
 from product_reference import (
     pair_invariant_generators,
     pair_normal_in_R,
@@ -25,7 +22,6 @@ from product_reference import (
     word_letter_closed,
 )
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 KINDS = ("two_sided", "left", "right", "full", "span")
 
 
@@ -177,18 +173,10 @@ def test_product_case_selection(QQ):
             assert I.product(J).rows == reference_table(I, J).rows
 
 
-def _fixture_pairs(D):
-    for path in sorted(FIXTURES.glob("*.ptx")):
-        script = parse(path.read_text())
-        session = Session(script, default_maxdeg=D)
-        for aname, gname in dict.fromkeys(tuple(task.args[-2:]) for task in script.tasks):
-            yield path.stem, session.algebras[aname], session.group(gname, aname)
-
-
 def test_invariant_generators_match_pair_reference_on_fixtures():
     D = 8
     seen = 0
-    for name, R, G in _fixture_pairs(D):
+    for name, R, G in fixture_pairs(D):
         inv = invariants_basis(R, G, D)
         assert inv.generators == pair_invariant_generators(inv), name
         elems = [g for g, _ in inv.generators] + [g for g in R.gens() if g]
@@ -206,7 +194,7 @@ def test_invariant_radical_powers_match_pair_reference_on_fixtures():
     """a^s a over the invariant generators, as in ``cofinality_check``."""
     D = 8
     seen = 0
-    for name, R, G in _fixture_pairs(D):
+    for name, R, G in fixture_pairs(D):
         inv = invariants_basis(R, G, D)
         aa = invariant_radical_table(R, G, D, inv=inv)
         if aa.is_zero():
@@ -229,7 +217,7 @@ def test_product_over_multipliers_falls_back_when_not_closed():
     square closes over them."""
     D = 8
     seen = 0
-    for name, R, G in _fixture_pairs(D):
+    for name, R, G in fixture_pairs(D):
         inv = invariants_basis(R, G, D)
         radical = oracle_radical(R, G, D)
         aa = invariant_radical_table(R, G, D, radical=radical, inv=inv)
@@ -246,7 +234,7 @@ def test_product_over_multipliers_falls_back_when_not_closed():
 
 
 def test_closure_over_letters_as_multipliers_matches_letters():
-    for name, R, G in _fixture_pairs(6):
+    for name, R, G in fixture_pairs(6):
         inv = invariants_basis(R, G, 6)
         seeds = {d: [row for _, row in inv.rows[d]] for d in (1, 2)}
         letters = _letters_as_multipliers(R)
