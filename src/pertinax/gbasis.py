@@ -9,6 +9,8 @@ are no "maybe" answers below the truncation bound.
 
 from __future__ import annotations
 
+from collections import Counter, deque
+
 from .errors import (
     BasisTooLarge,
     DegenerateQuotient,
@@ -267,35 +269,74 @@ def _reduce_full(f: FreePoly, leads: dict, lengths) -> FreePoly:
                 del terms[u]
 
 
+class _LeadIndex:
+    """The leading words of an interreduction, bucketed by letter.
+
+    Each bucket is a dict in insertion order, like the rule dict it shadows:
+    a word is added to and discarded from both at once, so every bucket
+    lists its words in the rule dict's order.
+    """
+
+    __slots__ = ("buckets", "lengths")
+
+    def __init__(self):
+        self.buckets: dict = {}  # letter -> {word: None}
+        self.lengths: Counter = Counter()
+
+    def add(self, word: Word):
+        for x in set(word):
+            self.buckets.setdefault(x, {})[word] = None
+        self.lengths[len(word)] += 1
+
+    def discard(self, word: Word):
+        for x in set(word):
+            del self.buckets[x][word]
+        self.lengths[len(word)] -= 1
+        if not self.lengths[len(word)]:
+            del self.lengths[len(word)]
+
+    def superwords(self, lead: Word) -> list:
+        """The words that contain ``lead`` as a subword, in insertion order.
+
+        Each of them contains every letter of ``lead``, so one bucket (the
+        smallest) holds them all, in the order of the rule dict.
+        """
+        n = len(lead)
+        bucket = min((self.buckets.get(x, {}) for x in set(lead)), key=len)
+        return [
+            w
+            for w in bucket
+            if len(w) >= n and any(w[p : p + n] == lead for p in range(len(w) - n + 1))
+        ]
+
+
 def _interreduce(polys) -> list[FreePoly]:
     """Fully autoreduced monic basis with mutually irreducible leading words."""
-    work = list(polys)
+    work = deque(polys)
     out: dict = {}  # lead word -> poly
+    index = _LeadIndex()
     while work:
-        f = work.pop(0)
-        lengths = sorted({len(w) for w in out})
-        f = _reduce_full(f, out, lengths)
+        f = work.popleft()
+        f = _reduce_full(f, out, sorted(index.lengths))
         if f.is_zero():
             continue
         f = f.monic()
         lead = f.leading_word()
         # evict basis members whose leads became reducible by the new rule
-        evict = [
-            w
-            for w in out
-            if len(w) >= len(lead)
-            and any(w[p : p + len(lead)] == lead for p in range(len(w) - len(lead) + 1))
-        ]
-        for w in evict:
+        for w in index.superwords(lead):
+            index.discard(w)
             work.append(out.pop(w))
         out[lead] = f
-    # second pass: reduce every tail against the final rule set
-    lengths = sorted({len(w) for w in out})
+        index.add(lead)
+    # second pass: reduce every tail against the final rule set.  The rule
+    # of the lead itself never applies: reduction only meets words below the
+    # lead, and a word containing the lead is the lead or of larger degree.
+    lengths = sorted(index.lengths)
     final = {}
     for lead in sorted(out, key=lambda w: (len(w), w)):
         f = out[lead]
         tail = FreePoly(f.alphabet, f.field, {w: c for w, c in f.terms.items() if w != lead})
-        tail = _reduce_full(tail, {w: p for w, p in out.items() if w != lead}, lengths)
+        tail = _reduce_full(tail, out, lengths)
         final[lead] = FreePoly(f.alphabet, f.field, {lead: f.field.one, **tail.terms})
     return [final[w] for w in sorted(final, key=lambda w: (len(w), w))]
 

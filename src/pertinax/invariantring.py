@@ -9,11 +9,15 @@ invariant part a of the radical inside the ambient algebra, degree-wise up
 to the truncation bound.  The ideals a R, R a and a^s R are the one-sided
 closures of the rows of a and a^s (``GradedIdealTable.closure``).  The
 products behind the powers are closures too (``GradedIdealTable.product``):
-r^n r closes over left multiplication by the letters, and a^s a over left
-multiplication by the invariant generators, since a is an ideal of the
-invariant ring but not of R.  Each product checks its closure from the
-tables before it relies on it.  Normality compares the one-sided closures
-of a single element.
+I J = A (N M) A, the two-sided closure of the products of the left
+generators N of I and the right generators M of J.  For r^n r, A is R and
+the multipliers are the letters; for a^s a, A is the invariant ring and the
+multipliers are its generators, since a is an ideal of the invariant ring
+but not of R.  Each factor's closure is checked from its table once, and
+kept on the table, so the right generators of r and of a are found once
+for all the powers.  Normality compares the one-sided closures of a single
+element in R, and its images under the cached ``multiplier_images`` on
+either side in A.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .galgebra import AlgElement, GradedAlgebra
 from .skewgroup import (
     GradedIdealTable,
     intersect_with_invariants,
+    letter_multiples,
     oracle_radical,
     vec_product,
 )
@@ -215,8 +220,8 @@ def cofinality_check(
     R that the rows of a and a^s generate: their one-sided closures under
     the letters.  Each power a^{s+1} = a^s a closes over the invariant
     generators: a is an ideal of the invariant ring A, so A a^s lies in
-    a^s, and ``GradedIdealTable.product`` checks this closure from the
-    tables before it relies on it.
+    a^s and a A in a, and ``GradedIdealTable.product`` checks both
+    closures from the tables before it relies on them.
     """
     if radical is None:
         radical = oracle_radical(R, G, D)
@@ -271,13 +276,18 @@ def normality_check(
     letter multiplication (``GradedIdealTable.closure``): since
     R_d = sum_x R_{d - deg x} x, the degree da + d part of aR is
     sum_x (aR)_{da + d - deg x} x (plus a itself at d = 0), and mirrored
-    for Ra.  Their canonical rows are compared.  For
-    in_A, a is multiplied by every invariant basis row, since A is not
-    generated by letters.
+    for Ra.  Their canonical rows are compared.  For in_A, A is not
+    generated by letters: a A_d and A_d a are the images of the invariant
+    basis rows of degree d under multiplication by a on either side, read
+    off the cached ``multiplier_images`` of a (one map per side and degree,
+    integer when R and a are rational), and their canonical rows are
+    compared degree by degree.
     """
     if D is None:
         D = R.D
     field = R.field
+    if inv is not None:
+        ints = [linalg.scaled_integer_rows(rs) if R.rational else None for rs in inv.rows]
     out = []
     for a in elements:
         if not a.is_homogeneous():
@@ -288,17 +298,13 @@ def normality_check(
             continue
         span = GradedIdealTable.from_elements(R, D, [a])
         in_R = span.closure(False, True) == span.closure(True, False)
-        ca = R.coords(a, da)
         in_A = None
         if inv is not None and inv.contains(a):
-            in_A = True
-            for d in range(0, D - da + 1):
-                left_rows, right_rows = [], []
-                for _, v in inv.rows[d]:
-                    left_rows.append(vec_product(R, da, d, ca, v))
-                    right_rows.append(vec_product(R, d, da, v, ca))
-                if linalg.rref(field, left_rows) != linalg.rref(field, right_rows):
-                    in_A = False
-                    break
+            by_a = [(da, R.coords(a, da))]
+            in_A = not da or all(
+                linalg.rref(field, letter_multiples(R, inv.rows, ints, da + d, True, by_a))
+                == linalg.rref(field, letter_multiples(R, inv.rows, ints, da + d, False, by_a))
+                for d in range(D - da + 1)
+            )
         out.append({"element": a, "in_R": in_R, "in_A": in_A})
     return out

@@ -24,6 +24,7 @@ homogeneous multipliers of positive degree that the table is closed under.
 from __future__ import annotations
 
 from functools import partial
+from math import lcm
 
 from . import kernel, linalg
 from .action import FiniteGroup
@@ -37,15 +38,18 @@ class GradedIdealTable:
     Rows are stored in reduced row echelon form over the degree-d monomial
     basis, so two tables describe the same subspaces exactly when they
     compare equal.  The provenance tag records how the table was produced.
+    A table is not changed after it is built, so ``one_sided_generators``
+    keeps its answers for it in ``_sided``.
     """
 
-    __slots__ = ("algebra", "D", "tag", "rows")
+    __slots__ = ("algebra", "D", "tag", "rows", "_sided")
 
     def __init__(self, algebra: GradedAlgebra, D: int, rows, tag: str):
         self.algebra = algebra
         self.D = D
         self.rows = tuple(tuple(rs) for rs in rows)
         self.tag = tag
+        self._sided: dict = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -166,42 +170,47 @@ class GradedIdealTable:
     ) -> "GradedIdealTable":
         """Degree-wise span of pairwise products; the ideal product for ideals.
 
-        (IJ)_d = sum_i I_i J_{d-i}.  Let the m be homogeneous multipliers of
-        positive degree under which I is closed on the left (m I_i inside
-        I_{i + deg m} for every m, checked up to D): by default the letters
-        of R, when I is a left ideal, or the given ``multipliers``
-        (``(degree, coordinates)`` pairs), such as the generators of the
-        invariant ring for an ideal of it.  Pick N_i, a complement of
-        sum_m m I_{i - deg m} in I_i.  Then I_i = sum_m m I_{i - deg m} + N_i,
-        so by induction on i every I_i J_{d-i} lies in
-        sum_m m (IJ)_{d - deg m} + N_i J_{d-i}; conversely m (IJ) lies in
-        (m I) J, inside IJ.  Hence
+        (IJ)_d = sum_i I_i J_{d-i}.  The multipliers m are homogeneous of
+        positive degree: the letters of R by default, or the given
+        ``multipliers`` (``(degree, coordinates)`` pairs), such as the
+        generators of the invariant ring for ideals of it.  They generate a
+        subalgebra A (R itself for the letters), with 1 in A.
 
-            (IJ)_d = sum_m m (IJ)_{d - deg m} + sum_i N_i J_{d-i},
+        Suppose A I lies in I (I closed on the left, checked up to D).  Let
+        N_i be a complement of sum_m m I_{i - deg m} in I_i
+        (``one_sided_generators``).  Then I_i = sum_m m I_{i - deg m} + N_i,
+        and by induction on i, I = A N: A N lies in A I, inside I, and each
+        I_i lies in A N.  Mirrored, J = M A when J A lies in J, with M the
+        right complement.  Hence
 
-        built from the canonical rows of the lower degrees.  Whether I is
-        so closed is decided exactly from the tables
-        (``one_sided_generators``); when it is not, every pair of rows is
-        multiplied.  The echelon form is canonical, so both forms give the
-        rows of the pairwise span.  An ideal that the rows of one table
-        generate, such as aR, is its ``closure``, not a product.
+            IJ = (A N)(M A) = A (N M) A,
+
+        the closure of the seeds sum_i N_i M_{d-i} under multiplication by
+        the m on both sides (``letter_closure``), built degree by degree from
+        the canonical rows of the lower degrees.  A factor that is not closed
+        on its side takes its own rows in place of N or M, and the closure
+        omits that side: A N J, I M A, or the span of the pairs I_i J_{d-i}
+        when neither is closed.  The echelon form is canonical, so every case
+        gives the rows of the pairwise span.  An ideal that the rows of one
+        table generate, such as aR, is its ``closure``, not a product.
         """
         _same_frame(self, other)
         R = self.algebra
-        left_rows, closed = self.rows, False
-        gens = one_sided_generators(self, left=True, multipliers=multipliers)
-        if gens is not None:
-            left_rows, closed = gens, True
+        left_gens = one_sided_generators(self, left=True, multipliers=multipliers)
+        right_gens = one_sided_generators(other, left=False, multipliers=multipliers)
+        left_rows = self.rows if left_gens is None else left_gens
+        right_rows = other.rows if right_gens is None else right_gens
 
         def seeds(d):
             return [
                 vec_product(R, i, d - i, u, v)
                 for i in range(d + 1)
                 for _, u in left_rows[i]
-                for _, v in other.rows[d - i]
+                for _, v in right_rows[d - i]
             ]
 
-        rows = letter_closure(R, seeds, self.D, closed, False, multipliers=multipliers)
+        closed = (left_gens is not None, right_gens is not None)
+        rows = letter_closure(R, seeds, self.D, *closed, multipliers=multipliers)
         return GradedIdealTable(R, self.D, rows, tag or self.tag)
 
     def closure(self, left: bool, right: bool) -> "GradedIdealTable":
@@ -293,22 +302,64 @@ def multiplier_images(R: GradedAlgebra, multiplier, d: int, left: bool):
     coordinates)``.  The images live over the basis of degree d + deg m and
     are cached on the algebra under the coordinates of m, in one form like
     ``letter_images``: integer when R and the coordinates of m are rational.
+
+    They are built by a letter recursion from the images of lower degrees.
+    Write a degree d >= 1 basis word as w = w' y with y its last letter;
+    then m w = (m w') y, the image of w' (degree d - deg y) times y on the
+    right, read off the cached right ``letter_images`` of y.  Mirrored,
+    w = y w'' and w m = y (w'' m) by the left images of y.  w' and w'' are
+    basis words again: a word is normal when no leading word of the
+    Groebner basis occurs in it, and then none occurs in any subword.
+    Degree 0 is m itself.
     """
-    dm, coords = multiplier
-    key = ("multiplier", dm, tuple(sorted(coords.items())), left)
-    cache = R._act_cache.setdefault(key, {})
+    cache = R._act_cache.setdefault(("multiplier", *_multiplier_key(multiplier), left), {})
     images = cache.get(d)
-    if images is None:
-        one = R.field.one.raw
-        raw = [
-            vec_product(R, dm, d, coords, {j: one})
-            if left
-            else vec_product(R, d, dm, {j: one}, coords)
-            for j in range(R.dim(d))
-        ]
+    if images is not None:
+        return images
+    if d == 0:
+        raw = [dict(multiplier[1])]
         images = (linalg.integer_form(raw) if R.rational else None) or (None, raw)
-        cache[d] = images
+    else:
+        images = _recursive_images(R, multiplier, d, left)
+    cache[d] = images
     return images
+
+
+def _recursive_images(R: GradedAlgebra, multiplier, d: int, left: bool):
+    """The images of ``multiplier_images`` in degree d >= 1, from lower degrees:
+    m (w' y) = (m w') y when ``left``, (y w'') m = y (w'' m) otherwise."""
+    dm = multiplier[0]
+    field = R.field
+    degrees = R.alphabet.degrees
+    parts = {}  # letter y -> (images of the lower words, images of y)
+    for y, dy in enumerate(degrees):
+        if dy <= d:
+            lower = multiplier_images(R, multiplier, d - dy, left)
+            parts[y] = (lower, letter_images(R, y, dm + d - dy, not left))
+    integer = all(a[0] is not None and b[0] is not None for a, b in parts.values())
+    if integer:
+        den = lcm(1, *(a[0] * b[0] for a, b in parts.values()))
+        axpy = kernel.int_axpy
+    else:
+        parts = {
+            y: ((None, linalg.raw_vectors(a, field)), (None, linalg.raw_vectors(b, field)))
+            for y, (a, b) in parts.items()
+        }
+        den, axpy = None, linalg.field_axpy(field)
+    index = R.basis.index
+    vecs = []
+    for w in R.basis.words[d]:
+        y = w[-1] if left else w[0]
+        (lden, lower), (yden, ymaps) = parts[y]
+        rest = w[:-1] if left else w[1:]
+        vec: dict = {}
+        for c, a in lower[index[d - degrees[y]][rest]].items():
+            axpy(vec, a, ymaps[c])
+        if integer and lden * yden != den:
+            scale = den // (lden * yden)
+            vec = {c: a * scale for c, a in vec.items()}
+        vecs.append(vec)
+    return den, vecs
 
 
 def _multiplier_maps(R: GradedAlgebra, multipliers, left: bool):
@@ -324,7 +375,7 @@ def _multiplier_maps(R: GradedAlgebra, multipliers, left: bool):
     return [(m[0], partial(multiplier_images, R, m, left=left)) for m in multipliers]
 
 
-def _letter_multiples(
+def letter_multiples(
     R: GradedAlgebra, rows, ints, d: int, left: bool, multipliers=None, blocks=1
 ):
     """The vectors m * v (or v * m) in degree d, m over the multipliers (the
@@ -399,9 +450,9 @@ def letter_closure(
     for d in range(D + 1):
         vecs = []
         if left:
-            vecs += _letter_multiples(R, rows, ints, d, True, multipliers, blocks)
+            vecs += letter_multiples(R, rows, ints, d, True, multipliers, blocks)
         if right:
-            vecs += _letter_multiples(R, rows, ints, d, False, multipliers, blocks)
+            vecs += letter_multiples(R, rows, ints, d, False, multipliers, blocks)
         vecs += seeds(d)
         echelon = linalg.rref(field, vecs)
         rows.append(echelon)
@@ -422,13 +473,31 @@ def one_sided_generators(table: GradedIdealTable, left: bool, multipliers=None):
     outside the images' pivots make them independent modulo the images, and
     there are dim T_d minus dim(images) of them.  Then T is the closure of
     the N_d under the multipliers on that side.
+
+    The answer is kept on the table (``_sided``) under the side and the
+    multipliers' coordinates, so a table used as a factor of many products,
+    such as the radical in its powers, is checked once per side.
     """
+    key = (left, None if multipliers is None else tuple(_multiplier_key(m) for m in multipliers))
+    memo = table._sided
+    if key not in memo:
+        memo[key] = _one_sided_generators(table, left, multipliers)
+    return memo[key]
+
+
+def _multiplier_key(multiplier):
+    dm, coords = multiplier
+    return dm, tuple(sorted(coords.items()))
+
+
+def _one_sided_generators(table: GradedIdealTable, left: bool, multipliers):
+    """The body of ``one_sided_generators``, run once per table and key."""
     R = table.algebra
     field = R.field
     ints = [linalg.scaled_integer_rows(rs) if R.rational else None for rs in table.rows]
     out = []
     for d in range(table.D + 1):
-        images = linalg.rref(field, _letter_multiples(R, table.rows, ints, d, left, multipliers))
+        images = linalg.rref(field, letter_multiples(R, table.rows, ints, d, left, multipliers))
         if not linalg.span_contains(field, images, table.rows[d]):
             return None
         pivots = {p for p, _ in images}

@@ -1,14 +1,21 @@
 """Truncated Groebner bases, normal forms and quotient bases."""
 
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 
-from pertinax.errors import NotGraded, RedundantGenerator, TruncationExceeded
+from pertinax.errors import BasisTooLarge, NotGraded, RedundantGenerator, TruncationExceeded
 from pertinax.freealgebra import Alphabet, FreePoly
 from pertinax.galgebra import make_downup, make_quantum_affine, make_skew_symmetric
-from pertinax.gbasis import QuotientBasis, gb_complete
+from pertinax.gbasis import (
+    QuotientBasis,
+    _interreduce,
+    _LeadIndex,
+    _reduce_full,
+    gb_complete,
+)
 
 from conftest import free_quotient_dims, q_straighten
 
@@ -207,3 +214,94 @@ def test_mixed_degree_alphabet(QQ):
     # monomials u^a w^b with a + 2b = d
     assert qb.dims() == [d // 2 + 1 for d in range(9)]
     assert gb.normal_form(w * u) == gb.normal_form(u * w)
+
+
+def _scan_superwords(rules, lead):
+    """The rules whose word contains ``lead``, by a scan over every rule."""
+    n = len(lead)
+    return [
+        w
+        for w in rules
+        if len(w) >= n and any(w[p : p + n] == lead for p in range(len(w) - n + 1))
+    ]
+
+
+def test_lead_index_evicts_like_the_full_scan():
+    """On random rule sets, with evicted words coming back later, the letter
+    index lists the same words in the same order as a scan of the rules."""
+    rng = random.Random(5)
+    for _ in range(40):
+        letters = rng.randint(1, 4)
+        rules: dict = {}
+        index = _LeadIndex()
+        evicted = []
+        for _ in range(60):
+            if evicted and rng.random() < 0.3:
+                lead = evicted.pop(rng.randrange(len(evicted)))
+            else:
+                lead = tuple(rng.randrange(letters) for _ in range(rng.randint(1, 5)))
+            if lead in rules:
+                continue
+            got = index.superwords(lead)
+            assert got == _scan_superwords(rules, lead)
+            for w in got:
+                index.discard(w)
+                del rules[w]
+                evicted.append(w)
+            rules[lead] = None
+            index.add(lead)
+            assert index.lengths == Counter(len(w) for w in rules)
+
+
+def _interreduce_by_scan(polys):
+    """``_interreduce`` with the evict scan over every rule and each tail
+    reduced by every rule but its own, as before the letter index."""
+    work = list(polys)
+    out: dict = {}
+    while work:
+        f = work.pop(0)
+        f = _reduce_full(f, out, sorted({len(w) for w in out}))
+        if f.is_zero():
+            continue
+        f = f.monic()
+        lead = f.leading_word()
+        for w in _scan_superwords(out, lead):
+            work.append(out.pop(w))
+        out[lead] = f
+    lengths = sorted({len(w) for w in out})
+    final = {}
+    for lead in sorted(out, key=lambda w: (len(w), w)):
+        f = out[lead]
+        tail = FreePoly(f.alphabet, f.field, {w: c for w, c in f.terms.items() if w != lead})
+        tail = _reduce_full(tail, {w: p for w, p in out.items() if w != lead}, lengths)
+        final[lead] = FreePoly(f.alphabet, f.field, {lead: f.field.one, **tail.terms})
+    return [final[w] for w in sorted(final, key=lambda w: (len(w), w))]
+
+
+def test_interreduce_matches_the_scan(QQ):
+    """Random homogeneous relation sets over letters of degrees 1 and 2."""
+    rng = random.Random(11)
+    ab = Alphabet(["x", "y", "w"], [1, 1, 2])
+    words = {d: [] for d in (2, 3, 4)}
+    for length in range(1, 5):
+        for k in range(3**length):
+            w = tuple((k // 3**p) % 3 for p in range(length))
+            if ab.word_degree(w) in words:
+                words[ab.word_degree(w)].append(w)
+    for _ in range(60):
+        rels = []
+        for _ in range(rng.randint(1, 8)):
+            d = rng.choice((2, 3, 4))
+            terms = {}
+            for w in rng.sample(words[d], rng.randint(1, 4)):
+                terms[w] = QQ.scalar(rng.choice((-3, -1, 1, 2, 5)))
+            rels.append(FreePoly(ab, QQ, terms))
+        assert _interreduce(rels) == _interreduce_by_scan(rels)
+
+
+def test_all_commutators_of_64_letters_reach_the_size_guard(QQ):
+    """64 letters and their 2016 commutators: the size guard's
+    ``BasisTooLarge`` comes after one interreduction of the relations."""
+    ab = Alphabet(["x%d" % (i + 1) for i in range(64)])
+    with pytest.raises(BasisTooLarge, match="2016 rules, so 4064256 ordered pairs"):
+        gb_complete(commutator_relations(ab, QQ), 2)

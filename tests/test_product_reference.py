@@ -4,7 +4,13 @@ references built from element multiplication."""
 from hypothesis import given, settings, strategies as st
 
 from pertinax.freealgebra import Alphabet, FreePoly
-from pertinax.galgebra import make_downup, make_free, make_presentation, make_quantum_affine
+from pertinax.galgebra import (
+    make_downup,
+    make_free,
+    make_presentation,
+    make_quantum_affine,
+    make_skew_symmetric,
+)
 from pertinax.invariantring import invariant_radical_table, invariants_basis, normality_check
 from pertinax.scalars import cyclotomic_field
 from pertinax.skewgroup import (
@@ -112,8 +118,8 @@ def test_product_matches_pair_reference(data):
     kind_i, kind_j = data.draw(st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)))
     I = build_table(R, kind_i, data.draw(homogeneous_elements(R)))
     J = build_table(R, kind_j, data.draw(homogeneous_elements(R)))
-    # the case selection never misses a one-sided ideal; a right ideal J
-    # takes the pairwise form unless I is a left ideal
+    # the case selection never misses a one-sided ideal: a left ideal I
+    # closes on the left and a right ideal J on the right, whatever the other
     if kind_i in ("two_sided", "left", "full"):
         assert one_sided_generators(I, left=True) is not None
     if kind_j in ("two_sided", "right", "full"):
@@ -244,3 +250,86 @@ def test_closure_over_letters_as_multipliers_matches_letters():
                 R, lambda d: seeds.get(d, ()), 6, left, right, multipliers=letters
             )
             assert by_elements == by_letters, (name, left, right)
+
+
+def _closure_case(I, J, multipliers=None):
+    """(I closed on the left, J closed on the right) over the multipliers."""
+    return (
+        one_sided_generators(I, left=True, multipliers=multipliers) is not None,
+        one_sided_generators(J, left=False, multipliers=multipliers) is not None,
+    )
+
+
+ALL_CASES = {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_product_closure_cases_over_letters(QQ):
+    """R (x + y) by (y + z) R on the skew 3-space: a left ideal times a right
+    ideal, neither two-sided (x and y are normal there, x + y is not), closes
+    on both sides from the seed (x + y)(y + z).  With spans in place of
+    either factor it closes on one side or on none."""
+    R = make_skew_symmetric(QQ, 3, 6)
+    x, y, z = R.gens()
+    words = [R.from_word(w) for e in range(6) for w in R.basis_words(e)]
+    left = GradedIdealTable.from_elements(R, 6, [w * (x + y) for w in words])
+    right = GradedIdealTable.from_elements(R, 6, [(y + z) * w for w in words])
+    assert not left.is_two_sided_ideal_upto() and not right.is_two_sided_ideal_upto()
+    span_left = GradedIdealTable.from_elements(R, 6, [x + y, z * (x + y)])
+    span_right = GradedIdealTable.from_elements(R, 6, [y + z, (y + z) * x])
+    cases = set()
+    for I in (left, span_left):
+        for J in (right, span_right):
+            cases.add(_closure_case(I, J))
+            assert I.product(J).rows == reference_table(I, J).rows
+    assert cases == ALL_CASES
+    assert one_sided_generators(left, left=True)[1] == [(0, R.coords(x + y, 1))]
+
+
+def test_product_closure_cases_over_invariant_generators():
+    """a (closed on both sides over the invariant generators), its left
+    closure of one row, and spans of rows of a: every product of two of them
+    over the invariant generators against the pairwise reference, meeting
+    all four closure cases across the fixtures."""
+    D = 6
+    seen = set()
+    for name, R, G in fixture_pairs(D):
+        inv = invariants_basis(R, G, D)
+        aa = invariant_radical_table(R, G, D, inv=inv)
+        d0, _ = aa.first_nonzero()
+        if d0 is None:
+            continue
+        gens = [(d, R.coords(g, d)) for g, d in inv.generators]
+        row = [dict(aa.rows[d0][-1][1])]
+        left = letter_closure(R, lambda d: row if d == d0 else (), D, True, False, gens)
+        tables = [
+            aa,
+            GradedIdealTable(R, D, left, "user"),
+            GradedIdealTable.from_elements(R, D, aa.polys(d0)[:1]),
+            GradedIdealTable.from_elements(R, D, aa.polys(d0)[-1:] + aa.polys(d0 + 1)[:1]),
+        ]
+        for I in tables:
+            for J in tables:
+                seen.add(_closure_case(I, J, gens))
+                assert I.product(J, multipliers=gens).rows == reference_table(I, J).rows, name
+    assert seen == ALL_CASES
+
+
+def test_one_sided_memo_does_not_depend_on_call_order():
+    """a is not closed under the letters but is under the invariant
+    generators; the answers kept on the table are the same in either order."""
+    for name, R, G in fixture_pairs(6):
+        inv = invariants_basis(R, G, 6)
+        aa = invariant_radical_table(R, G, 6, inv=inv)
+        if aa.is_zero():
+            continue
+        letters = _letters_as_multipliers(R)
+        gens = [(d, R.coords(g, d)) for g, d in inv.generators]
+        first = GradedIdealTable(R, 6, aa.rows, "user")
+        second = GradedIdealTable(R, 6, aa.rows, "user")
+        by_letters = one_sided_generators(first, left=True, multipliers=letters)
+        by_gens = one_sided_generators(first, left=True, multipliers=gens)
+        assert by_letters is None and by_gens is not None, name
+        assert one_sided_generators(second, left=True, multipliers=gens) == by_gens, name
+        assert one_sided_generators(second, left=True, multipliers=letters) is None, name
+        assert one_sided_generators(second, left=False, multipliers=letters) is None, name
+        assert one_sided_generators(first, left=True, multipliers=letters) is None, name
