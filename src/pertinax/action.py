@@ -19,7 +19,7 @@ from .errors import (
     NotFiniteWithinBound,
     TrivialGroupRejected,
 )
-from .freealgebra import FreePoly, Word
+from .freealgebra import FreePoly
 from .galgebra import AlgElement, GradedAlgebra, letter_images
 
 DEFAULT_MAX_ORDER = 64
@@ -32,7 +32,7 @@ class LinearAuto:
     rational algebra the action columns are then kept as integer rows.
     """
 
-    __slots__ = ("algebra", "matrix", "rational", "_images", "_word_cache")
+    __slots__ = ("algebra", "matrix", "rational")
 
     def __init__(self, algebra: GradedAlgebra, matrix, verify: bool = True):
         field = algebra.field
@@ -50,26 +50,36 @@ class LinearAuto:
                     raise NotAnAutomorphism(
                         "matrix mixes generators of different degrees"
                     )
-        self._images = tuple(
-            AlgElement(
-                algebra,
-                FreePoly(
-                    algebra.alphabet,
-                    field,
-                    {(i,): rows[i][j] for i in range(n) if rows[i][j]},
-                ),
-            )
-            for j in range(n)
-        )
-        self._word_cache = {(): {(): field.one}}
         if verify:
             self._verify()
 
     def _verify(self):
-        if self._rank() != self.algebra.ngens:
+        """Check that the matrix is invertible and that g(r) = 0 in R for
+        every defining relation r.
+
+        g(r) is formed in the free algebra, each letter x replaced by its
+        image sum_y M[y][x] y, and its words are reduced by the rewriting
+        rules (``nf_word``).  That reduction works at any degree, so a
+        relation above the truncation degree is checked too.
+        """
+        R = self.algebra
+        n = R.ngens
+        if self._rank() != n:
             raise NotAnAutomorphism("matrix is singular")
-        for r in self.algebra.relations:
-            if not self.apply_poly(r).is_zero():
+        M = self.matrix
+        columns = [[(y, M[y][x]) for y in range(n) if M[y][x]] for x in range(n)]
+        nf_word = R.gb.nf_word
+        zero = R.field.zero
+        for r in R.relations:
+            out: dict = {}
+            for w, c in r.terms.items():
+                image = {(): c}  # g of a prefix of w, in the free algebra
+                for x in w:
+                    image = {u + (y,): cu * cy for u, cu in image.items() for y, cy in columns[x]}
+                for u, cu in image.items():
+                    for v, cv in nf_word(u).items():
+                        out[v] = out.get(v, zero) + cu * cv
+            if any(out.values()):
                 raise NotAnAutomorphism(
                     "relation %s is not preserved by the matrix" % r
                 )
@@ -83,44 +93,17 @@ class LinearAuto:
 
     # -- the action ---------------------------------------------------------
 
-    def _act_word(self, word: Word) -> dict:
-        """Image of a word in normal form, as a term dict over normal words."""
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
-        head = self._act_word(word[:-1])
-        image = self._images[word[-1]].poly.terms
-        algebra = self.algebra
-        out: dict = {}
-        for v, cv in head.items():
-            for (gen_index,), cg in image.items():
-                c = cv * cg
-                for t, ct in algebra.product_word_vec(v, (gen_index,)).items():
-                    cur = out.get(t)
-                    s = c * ct if cur is None else cur + c * ct
-                    if s:
-                        out[t] = s
-                    elif cur is not None:
-                        del out[t]
-        self._word_cache[word] = out
-        return out
-
-    def apply_poly(self, poly: FreePoly) -> AlgElement:
-        out: dict = {}
-        for w, c in poly.terms.items():
-            for t, ct in self._act_word(w).items():
-                cur = out.get(t)
-                s = c * ct if cur is None else cur + c * ct
-                if s:
-                    out[t] = s
-                elif cur is not None:
-                    del out[t]
-        return AlgElement(self.algebra, FreePoly(self.algebra.alphabet, self.algebra.field, out))
-
     def apply(self, elem: AlgElement) -> AlgElement:
-        if elem.algebra is not self.algebra:
+        """g(elem), one homogeneous part at a time: the coordinates of the
+        degree d part times the action columns ``matrix_on_degree(d)``."""
+        R = self.algebra
+        if elem.algebra is not R:
             raise ValueError("element of a different algebra")
-        return self.apply_poly(elem.poly)
+        terms: dict = {}
+        for d, part in elem.homogeneous_parts().items():
+            image = linalg.map_vector(self.matrix_on_degree(d), R.coords(part, d), R.field)
+            terms.update(R.vector_to_element(d, image).poly.terms)
+        return AlgElement(R, FreePoly(R.alphabet, R.field, terms))
 
     def matrix_on_degree(self, d: int):
         """The action on the degree d component, as a map form (``linalg``).
@@ -263,14 +246,13 @@ class FiniteGroup:
     so it is deterministic for a fixed generator list.
     """
 
-    __slots__ = ("algebra", "elements", "table", "inverse", "_index")
+    __slots__ = ("algebra", "elements", "table", "inverse")
 
     def __init__(self, algebra, elements, table, inverse):
         self.algebra = algebra
         self.elements = tuple(elements)
         self.table = table
         self.inverse = inverse
-        self._index = {g.matrix: i for i, g in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -278,9 +260,6 @@ class FiniteGroup:
 
     def __len__(self):
         return len(self.elements)
-
-    def index_of(self, g: LinearAuto) -> int:
-        return self._index[g.matrix]
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]

@@ -159,11 +159,6 @@ class FreePoly:
     def leading_coeff(self) -> Scalar:
         return self.terms[self.leading_word()]
 
-    def sorted_terms(self):
-        """Terms from the leading word downward; deterministic iteration order."""
-        key = self.alphabet.deglex_key
-        return [(w, self.terms[w]) for w in sorted(self.terms, key=key, reverse=True)]
-
     def coefficient(self, word: Word) -> Scalar:
         return self.terms.get(tuple(word), self.field.zero)
 

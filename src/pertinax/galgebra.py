@@ -130,8 +130,13 @@ class GradedAlgebra:
         return AlgElement(self, FreePoly(self.alphabet, self.field, terms))
 
     def product_word_vec(self, u: Word, v: Word) -> dict:
-        """Normal form of u*v as a term dict over normal words, for normal u, v."""
-        return self.gb.nf_product(u, v)
+        """Normal form of u*v as a term dict over normal words, for normal u, v.
+
+        The rule-based definition of a product of basis words, kept as the
+        reference that the products read from ``letter_images`` are checked
+        against; nothing in the library calls it.
+        """
+        return self.gb.nf_word(u + v)
 
 
 class AlgElement:
@@ -214,18 +219,24 @@ def letter_images(R: GradedAlgebra, letter: int, d: int, left: bool):
 
     The images live over the basis of degree d + deg x and are returned as
     a map form (``linalg``): ``(den, int_vecs)`` when R is rational, else
-    ``(None, raw_vecs)``.  They are cached on the algebra in that one form.
-    This is the letter-multiplication primitive behind ideal closure, the
-    ideal check, the radical oracle (``skewgroup``) and the action matrices
-    (``LinearAuto.matrix_on_degree``).
+    ``(None, raw_vecs)``.  They are cached on the algebra in that one form,
+    each the normal form (``nf_word``) of the word x w or w x.
+
+    This is the one multiplication primitive of the library.  Ideal
+    closures, the ideal check and the radical oracle multiply by letters
+    (``skewgroup.letter_closure``); products of coordinate vectors
+    (``skewgroup.vec_product``) and multiplier images apply a word one
+    letter at a time; the action matrices (``LinearAuto.matrix_on_degree``),
+    and with them ``LinearAuto.apply``, are a letter recursion over them.
     """
     cache = R._act_cache.setdefault(("letter", letter, left), {})
     images = cache.get(d)
     if images is None:
         index = R.basis.index[d + R.alphabet.degrees[letter]]
+        nf_word = R.gb.nf_word
         raw = []
         for w in R.basis.words[d]:
-            prod = R.product_word_vec((letter,), w) if left else R.product_word_vec(w, (letter,))
+            prod = nf_word((letter,) + w) if left else nf_word(w + (letter,))
             raw.append({index[t]: sc.raw for t, sc in prod.items()})
         images = (linalg.integer_form(raw) if R.rational else None) or (None, raw)
         cache[d] = images

@@ -5,6 +5,13 @@ leading words are resolved in increasing degree until every ambiguity of
 degree at most D reduces to zero.  For homogeneous presentations this
 makes every statement about graded components of degree <= D exact; there
 are no "maybe" answers below the truncation bound.
+
+``TruncatedGB.nf_word`` rewrites one word to normal form.  It serves the
+normal forms of free polynomials (parsed relations and elements, and
+``AlgElement`` arithmetic), the letter images x w and w x of the basis
+words, from which ``galgebra.letter_images`` builds every product of
+coordinate vectors and every group action, and the automorphism check of
+``LinearAuto``, which must reduce relations above the truncation degree.
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ from .freealgebra import FreePoly, Word
 # normal-word basis examines in one degree: far above every fixture and
 # benchmark degree (a few thousand), and about a second of work at the bound.
 MAX_BASIS_CANDIDATES = 10**6
+
+# Highest truncation degree that relations are completed to and a normal-word
+# basis is built to: far above every fixture and benchmark degree (below 50).
+# k[x], with one word per degree, runs at D = 4000 in about 2 s; its words up
+# to 10^4 hold 5 * 10^7 letters.
+MAX_TRUNCATION_DEGREE = 10**4
 
 # Most ordered pairs (u, v) of leading words one completion sweep examines
 # for overlaps: commutative(45) has 990 rules and 980100 pairs, within the
@@ -52,44 +65,38 @@ class TruncatedGB:
         self.relations = tuple(relations)
         self.truncation_degree = truncation_degree
         self.complete_upto = truncation_degree
-        self._leads = {r.leading_word(): r for r in self.relations}
+        self._leads = {}  # leading word -> the other terms of its relation
+        for r in self.relations:
+            lead = r.leading_word()
+            self._leads[lead] = {t: c for t, c in r.terms.items() if t != lead}
         self._lead_lengths = sorted({len(w) for w in self._leads})
         self._nf_cache: dict = {(): {(): field.one}}
 
     # -- rewriting ---------------------------------------------------------
 
-    def is_normal_word(self, word: Word) -> bool:
-        leads = self._leads
-        for length in self._lead_lengths:
-            if length > len(word):
-                break
-            for pos in range(len(word) - length + 1):
-                if word[pos : pos + length] in leads:
-                    return False
-        return True
-
     def _suffix_relation(self, word: Word):
-        """Shortest leading word that is a suffix of ``word``, or None."""
+        """(lead, tail) of the shortest leading word that is a suffix of
+        ``word``, or None; the relation is lead + tail, monic."""
         leads = self._leads
         for length in self._lead_lengths:
             if length > len(word):
                 return None
-            tail = word[len(word) - length :]
-            if tail in leads:
-                return leads[tail]
+            lead = word[len(word) - length :]
+            tail = leads.get(lead)
+            if tail is not None:
+                return lead, tail
         return None
 
     def _step(self, normal: Word, letter: int) -> dict:
         """Normal form of (normal word) * (generator) as a term dict."""
         word = normal + (letter,)
-        rel = self._suffix_relation(word)
-        if rel is None:
+        rule = self._suffix_relation(word)
+        if rule is None:
             return {word: self.field.one}
-        prefix = word[: len(word) - len(rel.leading_word())]
+        lead, tail = rule
+        prefix = word[: len(word) - len(lead)]
         out: dict = {}
-        for t, c in rel.terms.items():
-            if t == rel.leading_word():
-                continue
+        for t, c in tail.items():
             for v, cv in self.nf_word(prefix + t).items():
                 cur = out.get(v)
                 s = -(c * cv) if cur is None else cur - c * cv
@@ -100,7 +107,10 @@ class TruncatedGB:
         return out
 
     def nf_word(self, word: Word) -> dict:
-        """Normal form of a word as a term dict over normal words (memoized)."""
+        """Normal form of a word as a term dict over normal words (memoized).
+
+        It rewrites at any degree, also above the truncation degree.
+        """
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
@@ -117,40 +127,6 @@ class TruncatedGB:
                     del out[t]
         self._nf_cache[word] = out
         return out
-
-    def nf_product(self, u: Word, v: Word) -> dict:
-        """Normal form of u*v for normal words u and v, as a term dict.
-
-        The shorter word is multiplied onto the other one letter at a time,
-        so ``nf_word`` is only asked for a normal word times a letter on
-        either side.  Its memo then stays within the words that letter
-        multiplication of the basis reaches, whichever products are asked
-        for; memoizing each u + v would grow with the supports of the
-        vectors being multiplied.
-        """
-        if len(v) <= len(u):
-            terms, letters, left = self.nf_word(u + v[:1]), v[1:], False
-        else:
-            terms, letters, left = self.nf_word(u[-1:] + v), reversed(u[:-1]), True
-        nf_word = self.nf_word
-        one = self.field.one.raw
-        for letter in letters:
-            if len(terms) == 1:
-                ((w, c),) = terms.items()
-                prod = nf_word((letter,) + w if left else w + (letter,))
-                terms = prod if c.raw == one else {t: c * ct for t, ct in prod.items()}
-                continue
-            out: dict = {}
-            for w, c in terms.items():
-                for t, ct in nf_word((letter,) + w if left else w + (letter,)).items():
-                    cur = out.get(t)
-                    s = c * ct if cur is None else cur + c * ct
-                    if s:
-                        out[t] = s
-                    elif cur is not None:
-                        del out[t]
-            terms = out
-        return terms
 
     def normal_form(self, f: FreePoly) -> FreePoly:
         """The unique irreducible representative of f modulo the ideal."""
@@ -176,17 +152,27 @@ class TruncatedGB:
         return "\n".join(str(r) for r in self.relations)
 
 
+def _check_truncation(D: int):
+    if D > MAX_TRUNCATION_DEGREE:
+        raise BasisTooLarge(
+            "truncation degree %d is above %d; lower it with --maxdeg or a task's maxdeg"
+            % (D, MAX_TRUNCATION_DEGREE)
+        )
+
+
 class QuotientBasis:
     """Normal (irreducible) words per degree: monomial bases of the quotient.
 
     Degree d is built from the candidates w·x, w normal of degree
     d - deg x.  More than ``MAX_BASIS_CANDIDATES`` of them raise
-    ``BasisTooLarge`` before any is examined.
+    ``BasisTooLarge`` before any is examined, and so does a truncation
+    degree above ``MAX_TRUNCATION_DEGREE``, before any degree is allocated.
     """
 
     __slots__ = ("alphabet", "words", "index")
 
     def __init__(self, gb: TruncatedGB, D: int):
+        _check_truncation(D)
         alphabet = gb.alphabet
         self.alphabet = alphabet
         by_degree: list[list[Word]] = [[] for _ in range(D + 1)]
@@ -220,10 +206,6 @@ class QuotientBasis:
 
     def dims(self) -> list[int]:
         return [len(ws) for ws in self.words]
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.words) - 1
 
 
 def _find_reduction(word: Word, leads: dict, lengths):
@@ -360,8 +342,11 @@ def gb_complete(
     degree one relations (eliminate the generator instead); quotient
     construction passes allow_linear to accept degree one rules.  A sweep
     over more than ``MAX_OVERLAP_PAIRS`` ordered pairs of leading words
-    raises ``BasisTooLarge`` before any pair is examined.
+    raises ``BasisTooLarge`` before any pair is examined, and so does a D
+    above ``MAX_TRUNCATION_DEGREE`` before any relation is read: completion
+    need not end below D when the Groebner basis is infinite.
     """
+    _check_truncation(D)
     relations = [r for r in relations if not r.is_zero()]
     if not relations:
         raise ValueError("gb_complete needs at least one relation; use the free algebra")

@@ -131,6 +131,27 @@ def raw_vectors(form, field):
     return [{c: kernel.q_normalize([v] + zeros, den) for c, v in vec.items()} for vec in vecs]
 
 
+def map_vector(form, vec, field):
+    """The image of a raw vector under a map in either form, as a raw vector.
+
+    Int products (``kernel.int_axpy``) when the map and the vector are both
+    rational; otherwise raw products, with only the columns the vector
+    reads converted from an integer form.
+    """
+    den, maps = form
+    ivec = integer_form([vec]) if den is not None else None
+    if ivec is not None:
+        acc: dict = {}
+        for c, a in ivec[1][0].items():
+            kernel.int_axpy(acc, a, maps[c])
+        return raw_vectors((den * ivec[0], [acc]), field)[0]
+    cols = list(vec)
+    acc = {}
+    for c, image in zip(cols, raw_vectors((den, [maps[c] for c in cols]), field)):
+        kernel.dict_axpy(acc, vec[c], image, field.red)
+    return acc
+
+
 def common_arithmetic(forms, field, signs=None):
     """One arithmetic for a signed sum of maps given in either form.
 

@@ -246,13 +246,8 @@ class GradedIdealTable:
         field = self.algebra.field
         for g in G.elements[1:]:
             for d in range(self.D + 1):
-                if not self.rows[d]:
-                    continue
-                cols = linalg.raw_vectors(g.matrix_on_degree(d), field)
                 for _, row in self.rows[d]:
-                    img: dict = {}
-                    for c, v in row.items():
-                        kernel.dict_axpy(img, v, cols[c], field.red)
+                    img = linalg.map_vector(g.matrix_on_degree(d), row, field)
                     if not linalg.in_span(field, img, self.rows[d]):
                         return False
         return True
@@ -506,27 +501,75 @@ def _one_sided_generators(table: GradedIdealTable, left: bool, multipliers):
 
 
 def vec_product(R: GradedAlgebra, i: int, j: int, u, v):
-    """Coordinates of the product of coordinate vectors in degrees i and j."""
-    words_i, words_j = R.basis.words[i], R.basis.words[j]
-    index = R.basis.index[i + j]
-    red = R.field.red
-    q_mul, q_add, q_is_zero = kernel.q_mul, kernel.q_add, kernel.q_is_zero
-    out: dict = {}
-    for ci, cu in u.items():
-        wu = words_i[ci]
-        for cj, cv in v.items():
-            c = q_mul(cu, cv, red)
-            for t, sc in R.product_word_vec(wu, words_j[cj]).items():
-                k = index[t]
-                w = q_mul(c, sc.raw, red)
-                cur = out.get(k)
-                if cur is not None:
-                    w = q_add(cur, w)
-                if q_is_zero(w):
-                    out.pop(k, None)
-                else:
-                    out[k] = w
-    return out
+    """Coordinates of the product of coordinate vectors in degrees i and j.
+
+    The words of the factor of lower degree are applied to the other factor
+    one letter at a time, through the cached ``letter_images``.  For i <= j,
+    u v = sum_w u_w (w v), and w v = w' (y v) for w = w' y: the left images,
+    last letter first.  Otherwise u v = sum_w v_w (u w), and u w = (u y) w''
+    for w = y w'': the right images, first letter first.  Words that share
+    their outer letters share those steps (``_apply_words``).
+
+    When R and both vectors are rational, the vectors and the images are
+    integer rows, the products are int products (``kernel.int_axpy``) and
+    one denominator is carried; otherwise the arithmetic is raw.  The result
+    is raw either way.
+    """
+    left = i <= j
+    short, other, d = (u, v, j) if left else (v, u, i)
+    words = R.basis.words[i if left else j]
+    ints = (linalg.integer_form([short]), linalg.integer_form([other])) if R.rational else (None,)
+    integer = None not in ints
+    if integer:
+        (sden, (short,)), (oden, (other,)) = ints
+    terms = {words[c]: a for c, a in short.items()}
+    den, vec = _apply_words(R, terms, other, d, left, integer)
+    return linalg.raw_vectors((sden * oden * den, [vec]), R.field)[0] if integer else vec
+
+
+def _apply_words(R: GradedAlgebra, terms, vec, d: int, left: bool, integer: bool):
+    """``(den, sum_w c_w w vec)`` when ``left``, else ``(den, sum_w c_w vec w)``.
+
+    ``terms`` maps words of one degree to coefficients and ``vec`` lies in
+    degree d.  The words are grouped by their outer letter y (last when
+    ``left``, first otherwise), y is applied to vec once per group through
+    ``letter_images``, and the rest of each group's words recurse on that
+    image.  On the integer path the coefficients and vec are ints and the
+    sum is the int vector over the int den; on the raw path den is None.
+    """
+    field = R.field
+    if () in terms:  # degree 0: the empty word alone
+        if integer:
+            c = terms[()]
+            return 1, {k: c * a for k, a in vec.items()}
+        return None, kernel.dict_axpy({}, terms[()], vec, field.red)
+    groups: dict = {}
+    for w, c in terms.items():
+        y, rest = (w[-1], w[:-1]) if left else (w[0], w[1:])
+        groups.setdefault(y, {})[rest] = c
+    parts = []
+    for y, rest in groups.items():
+        form = letter_images(R, y, d, left)
+        if integer:
+            yv: dict = {}
+            for t, a in vec.items():
+                kernel.int_axpy(yv, a, form[1][t])
+        else:
+            yv = linalg.map_vector(form, vec, field)
+        pden, pvec = _apply_words(R, rest, yv, d + R.alphabet.degrees[y], left, integer)
+        parts.append((form[0] * pden if integer else None, pvec))
+    if len(parts) == 1:
+        return parts[0]
+    if not integer:
+        out: dict = {}
+        for _, pvec in parts:
+            kernel.dict_axpy(out, field.one.raw, pvec, field.red)
+        return None, out
+    den = lcm(1, *(pden for pden, _ in parts))
+    out = {}
+    for pden, pvec in parts:
+        kernel.int_axpy(out, den // pden, pvec)
+    return den, out
 
 
 def oracle_radical(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> GradedIdealTable:

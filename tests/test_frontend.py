@@ -403,6 +403,60 @@ def test_basis_size_guard_is_inclusive(QQ, monkeypatch):
         make_commutative(QQ, 2, 6)
 
 
+# cli.main in a process limited to 1 GB of address space
+LIMITED_MAIN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from pertinax.frontend.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_cli_extreme_truncation_fails_in_one_line(tmp_path):
+    """A truncation degree of 10^9, from --maxdeg or from a task's maxdeg,
+    stops with one BasisTooLarge line before a list of its degrees is
+    allocated, and before the completion of the braid relation, whose
+    Groebner basis gains a rule in every degree.  The runs are subprocesses
+    limited to 1 GB of address space and to a minute, so that such an
+    allocation or completion ends there, not in the test process."""
+    script = tmp_path / "s.ptx"
+    script.write_text(fixture_text("kx_sign.ptx").replace("maxdeg=10", "maxdeg=1000000000"))
+    braid = tmp_path / "braid.ptx"
+    braid.write_text(
+        "field cyclotomic(2);\n"
+        "algebra R = presentation { gens: x, y; rels: x*y*x - y*x*y; };\n"
+        "group G = matrices { g: [[0, 1], [1, 0]]; };\n"
+        "task radical R G maxdeg=1000000000;\n"
+    )
+    message = (
+        "BasisTooLarge: truncation degree 1000000000 is above %d; "
+        "lower it with --maxdeg or a task's maxdeg" % gbasis.MAX_TRUNCATION_DEGREE
+    )
+    env = dict(os.environ)
+    src = str(FIXTURES.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    for args in (
+        ["fixtures/kx_sign.ptx", "--maxdeg", "1000000000"],
+        [str(script)],
+        [str(braid)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_MAIN, "run", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=str(FIXTURES.parent),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (2, "", [message])
+
+
+def test_truncation_guard_is_inclusive(QQ, monkeypatch):
+    """The bound admits a truncation at exactly that degree."""
+    monkeypatch.setattr(gbasis, "MAX_TRUNCATION_DEGREE", 5)
+    assert make_commutative(QQ, 1, 5).basis.dims() == [1] * 6
+    with pytest.raises(BasisTooLarge, match="truncation degree 6 is above 5"):
+        make_commutative(QQ, 1, 6)
+
+
 def test_cli_completion_size_guard_fails_in_one_line(tmp_path, capsys, monkeypatch):
     """commutative(46) and the 46 x 46 quantum_affine have 46 * 45 / 2
     commutation rules, more ordered pairs of leading words than the

@@ -8,7 +8,7 @@ import pytest
 
 from pertinax.errors import BasisTooLarge, NotGraded, RedundantGenerator, TruncationExceeded
 from pertinax.freealgebra import Alphabet, FreePoly
-from pertinax.galgebra import make_downup, make_quantum_affine, make_skew_symmetric
+from pertinax.galgebra import make_quantum_affine
 from pertinax.gbasis import (
     QuotientBasis,
     _interreduce,
@@ -155,31 +155,6 @@ def test_quantum_affine_matches_straightening(Q12):
         nf = R.gb.nf_word(word)
         assert set(nf) == {sorted_word}
         assert nf[sorted_word] == coeff
-
-
-def test_nf_product_matches_concatenation_and_keeps_memo_bounded(QQ):
-    """u*v built letter by letter is the normal form of the word u + v, and
-    once every basis word times a letter is memoized, products of basis
-    words add nothing to the memo, whichever pairs are multiplied."""
-    for R in (make_downup(QQ, 1, -1, 7), make_downup(QQ, 2, 3, 7), make_skew_symmetric(QQ, 3, 7)):
-        gb, words = R.gb, R.basis.words
-        for d in range(R.D):
-            for w in words[d]:
-                for x in range(len(R.alphabet)):
-                    gb.nf_word(w + (x,))
-                    gb.nf_word((x,) + w)
-        memo = len(gb._nf_cache)
-        pairs = [
-            (u, v)
-            for i in range(R.D + 1)
-            for j in range(R.D + 1 - i)
-            for u in words[i]
-            for v in words[j]
-        ]
-        products = [R.product_word_vec(u, v) for u, v in pairs]
-        assert len(gb._nf_cache) == memo
-        for (u, v), prod in zip(pairs, products):
-            assert prod == gb.nf_word(u + v)
 
 
 def test_completion_adds_overlap_resolutions(QQ):

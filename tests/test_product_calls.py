@@ -1,17 +1,29 @@
-"""Call counts of the ideal products in one cofinality report.
+"""Call counts of the ideal products, and the one multiplication primitive.
 
-Deterministic: it counts calls and times nothing.  The ``km1xyz_diag11``
-fixture's tasks run at maxdeg 10.  Pairwise ``vec_product`` calls in
-``skewgroup`` may only form the seeds N_i M_{d-i} of each product, and the
-body of ``one_sided_generators`` may run at most once per table, side and
-multipliers.
+Deterministic: the tests count calls and time nothing.  In one cofinality
+report (the ``km1xyz_diag11`` fixture's tasks at maxdeg 10), pairwise
+``vec_product`` calls in ``skewgroup`` may only form the seeds N_i M_{d-i}
+of each product, and the body of ``one_sided_generators`` may run at most
+once per table, side and multipliers.  Every product and group action of
+the library reads the cached letter images: nothing in ``src/pertinax``
+calls ``GradedAlgebra.product_word_vec``, the rule-based reference, and a
+benchmark ``products`` report runs with it disabled.
 """
+
+import ast
+import sys
+from pathlib import Path
 
 from pertinax import skewgroup
 from pertinax.frontend.parser import parse
 from pertinax.frontend.runner import run
+from pertinax.galgebra import GradedAlgebra
 
 from fixture_cases import FIXTURES
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pertinax"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REMOVED = {"nf_product", "_act_word", "apply_poly"}
 
 
 def test_products_call_vec_product_for_seeds_only(monkeypatch):
@@ -53,3 +65,54 @@ def test_products_call_vec_product_for_seeds_only(monkeypatch):
         seeds += sum(len(N[i]) * len(M[d - i]) for d in range(I.D + 1) for i in range(d + 1))
     assert calls["vec_product"] <= seeds
     assert max(bodies.values()) == 1
+
+
+def _second_paths(tree):
+    """Calls of ``product_word_vec`` and definitions of the removed
+    multiplication paths in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name == "product_word_vec":
+                found.append("call product_word_vec")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in REMOVED:
+            found.append("def " + node.name)
+    return found
+
+
+def test_library_multiplies_through_letter_images_only():
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) >= 10
+    for path in files:
+        assert _second_paths(ast.parse(path.read_text())) == [], path.name
+    bad = "R.product_word_vec(u, v)\nproduct_word_vec(u, v)\ndef apply_poly(self, f):\n    pass\n"
+    assert sorted(_second_paths(ast.parse(bad))) == [
+        "call product_word_vec",
+        "call product_word_vec",
+        "def apply_poly",
+    ]
+
+
+def test_products_report_never_calls_product_word_vec(monkeypatch):
+    """The seed-0 benchmark ``products`` report at D = 16 (radical,
+    invariants, cofinality and a quotient) with the reference disabled."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+
+    def disabled(self, u, v):
+        raise AssertionError("product_word_vec called")
+
+    monkeypatch.setattr(GradedAlgebra, "product_word_vec", disabled)
+    report, code = run(parse(workloads.render("products", 0, 16)))
+    assert code == 0
+    assert [t["task"] for t in report["tasks"]] == [
+        "radical",
+        "invariants",
+        "cofinality",
+        "semisimple",
+    ]
