@@ -50,6 +50,14 @@ def _read(path: str) -> str:
         raise UsageError("cannot read %s: %s" % (path, e))
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError("cannot write %s: %s" % (path, e))
+
+
 def _text_summary(report) -> str:
     lines = ["field: cyclotomic(%d)" % report["field"]["conductor"]]
     for entry in report["tasks"]:
@@ -97,8 +105,7 @@ def main(argv=None) -> int:
         )
         payload = json.dumps(report, indent=2)
         if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+            _write(args.json_path, payload + "\n")
         if args.text:
             sys.stdout.write(_text_summary(report))
         else:

@@ -366,11 +366,17 @@ def gb_complete(
             )
 
     basis = _interreduce(relations)
-    # Sweep all ambiguities of the current system in increasing degree; any
-    # nonzero resolution enlarges the basis and restarts the sweep.  The
-    # final pass therefore certifies that every ambiguity of degree <= D
-    # reduces to zero against the finished system, which is exactly the
-    # diamond lemma hypothesis in the graded, truncated setting.
+    # Sweep the ambiguities of the current system in increasing degree; a
+    # nonzero resolution of degree delta enlarges the basis and restarts the
+    # sweep at delta.  The pairs below delta need no new look: the relations
+    # are homogeneous, so the new rule has degree delta and its lead occurs
+    # in no word of lower degree.  Interreduction therefore leaves every
+    # rule of degree < delta as it was, and a pair of degree < delta, whose
+    # rules and reductions all lie below delta, still reduces to zero.  The
+    # final pass thus certifies, with the earlier ones, that every ambiguity
+    # of degree <= D reduces to zero against the finished system, which is
+    # exactly the diamond lemma hypothesis in the graded, truncated setting.
+    floor = 0
     while True:
         lead_map = {f.leading_word(): f for f in basis}
         pairs = len(lead_map) ** 2
@@ -387,15 +393,16 @@ def gb_complete(
                 for s in _overlap_words(u, v):
                     w = u + v[s:]
                     deg = alphabet.word_degree(w)
-                    if deg <= D:
+                    if floor <= deg <= D:
                         pending.append((deg, u, v, s))
         pending.sort()
         grew = False
-        for _, u, v, s in pending:
+        for deg, u, v, s in pending:
             spoly = lead_map[u].rshift(v[s:]) - lead_map[v].lshift(u[: len(u) - s])
             spoly = _reduce_full(spoly, lead_map, lengths)
             if not spoly.is_zero():
                 basis = _interreduce(basis + [spoly])
+                floor = deg
                 grew = True
                 break
         if not grew:

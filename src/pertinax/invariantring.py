@@ -33,6 +33,7 @@ from .skewgroup import (
     intersect_with_invariants,
     letter_multiples,
     oracle_radical,
+    unit_forms,
     vec_product,
 )
 
@@ -280,14 +281,22 @@ def normality_check(
     generated by letters: a A_d and A_d a are the images of the invariant
     basis rows of degree d under multiplication by a on either side, read
     off the cached ``multiplier_images`` of a (one map per side and degree,
-    integer when R and a are rational), and their canonical rows are
+    integer when R and a are rational), and their unit forms
+    (``linalg.unit_rref``), which determine the canonical rows, are
     compared degree by degree.
     """
     if D is None:
         D = R.D
     field = R.field
     if inv is not None:
-        ints = [linalg.scaled_integer_rows(rs) if R.rational else None for rs in inv.rows]
+        units, rows, ints = unit_forms(R, inv.rows)
+
+        def multiples(by_a, d, left):
+            # the unit form of the span of a A_{d - da} (or of A_{d - da} a)
+            return linalg.unit_rref(
+                field, *letter_multiples(R, units, rows, ints, d, left, by_a)
+            )
+
     out = []
     for a in elements:
         if not a.is_homogeneous():
@@ -302,8 +311,7 @@ def normality_check(
         if inv is not None and inv.contains(a):
             by_a = [(da, R.coords(a, da))]
             in_A = not da or all(
-                linalg.rref(field, letter_multiples(R, inv.rows, ints, da + d, True, by_a))
-                == linalg.rref(field, letter_multiples(R, inv.rows, ints, da + d, False, by_a))
+                multiples(by_a, da + d, True) == multiples(by_a, da + d, False)
                 for d in range(D - da + 1)
             )
         out.append({"element": a, "in_R": in_R, "in_A": in_A})

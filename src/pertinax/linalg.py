@@ -10,11 +10,28 @@ action columns) are lists of column vectors in one of two forms, a pair
 ``den`` means every image is rational and column j is ``vecs[j] / den``
 with ``vecs[j]`` a dict ``column -> int``.  Rational maps are kept in the
 integer form only, so their rows reach ``kernel.rref`` as integers.
+
+Closures and containment checks carry a span in unit form, a pair
+``(units, echelon)``: ``units`` is the set of columns c whose unit vector
+e_c lies in the span, and ``echelon`` is the rest of its canonical RREF.
+This is exact.  A vector of the span is the sum of the RREF rows weighted
+by its entries at the pivots.  So if e_c lies in the span, c is a pivot,
+its row is e_c, and every other row is 0 at c.  Hence
+
+    RREF(units + rows) = {e_c : c in units} + RREF(rows minus the unit columns),
+
+the one-entry rows of the second part are new units, already cleared from
+its other rows, and e_c lies in the span exactly when c is a unit.  A
+unit then costs a set entry instead of a dict through ``kernel.rref``;
+``join_units`` gives the canonical RREF back.  For the diagonal actions on
+quantum affine spaces every table is spanned by monomials, so almost every
+row is a unit.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
 from . import kernel
 
@@ -34,15 +51,84 @@ def in_span(field, vec, rrows) -> bool:
 def span_contains(field, sub_rows, super_rows) -> bool:
     """Whether the rows of ``sub_rows`` lie in the span of ``super_rows``.
 
-    ``super_rows`` must be a canonical RREF.  The span contains the sub rows
-    exactly when adding them leaves the canonical RREF unchanged, so one
-    rref decides it (on the kernel's integer path when every entry is
-    rational) instead of a reduction per row.
+    ``super_rows`` must be a canonical RREF; it is read in unit form
+    (``split_units``), and ``unit_form_contains`` decides.
     """
-    if not sub_rows:
+    return unit_form_contains(field, *split_units(super_rows), [row for _, row in sub_rows])
+
+
+def split_units(echelon):
+    """The unit form ``(units, rows)`` of a canonical RREF: the pivots of its
+    one-entry rows, and the list of its other rows."""
+    units = set()
+    rows = []
+    for p, row in echelon:
+        if len(row) == 1:
+            units.add(p)
+        else:
+            rows.append((p, row))
+    return units, rows
+
+
+def _without_units(units, rows):
+    """The rows with their entries at the unit columns deleted.
+
+    A row that touches no unit column is passed on as it is, after one
+    ``isdisjoint`` test, so spans without units pay almost nothing.
+    """
+    if not units:
+        return rows
+    isdisjoint = units.isdisjoint
+    return [
+        row if isdisjoint(row) else {c: v for c, v in row.items() if c not in units}
+        for row in rows
+    ]
+
+
+def unit_rref(field, units, rows):
+    """The unit form of the span of e_c (c in ``units``) and ``rows``.
+
+    Only the rows, minus the unit columns, reach ``kernel.rref``; the
+    pivots of its one-entry rows join ``units``, which is updated in place
+    and returned with the other rows of the echelon form.
+    """
+    new, echelon = split_units(rref(field, _without_units(units, rows)))
+    units |= new
+    return units, echelon
+
+
+def unit_form_contains(field, units, echelon, rows) -> bool:
+    """Whether ``rows`` lie in the span with unit form ``(units, echelon)``.
+
+    A one-entry row e_c lies in it exactly when c is a unit: a subset
+    test.  Any other row lies in it exactly when the row minus the unit
+    columns lies in the span of ``echelon``, which is 0 at every unit
+    column; those rows leave the canonical RREF ``echelon`` unchanged
+    exactly when they lie in its span, so one rref decides them all (on
+    the kernel's integer path when every entry is rational).
+    """
+    general = []
+    for row in rows:
+        if len(row) == 1:
+            if units.isdisjoint(row):
+                return False
+        else:
+            general.append(row)
+    general = [row for row in _without_units(units, general) if row]
+    if not general:
         return True
-    stacked = [row for _, row in super_rows] + [row for _, row in sub_rows]
-    return rref(field, stacked) == list(super_rows)
+    return rref(field, [row for _, row in echelon] + general) == echelon
+
+
+def join_units(field, units, echelon):
+    """The canonical RREF of the span with unit form ``(units, echelon)``."""
+    if not units:
+        return echelon
+    one = field.one.raw
+    out = [(c, {c: one}) for c in units]
+    out += echelon
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def trailing_block_rows(field, rows, split):

@@ -371,24 +371,28 @@ def _multiplier_maps(R: GradedAlgebra, multipliers, left: bool):
 
 
 def letter_multiples(
-    R: GradedAlgebra, rows, ints, d: int, left: bool, multipliers=None, blocks=1
+    R: GradedAlgebra, units, rows, ints, d: int, left: bool, multipliers=None, blocks=1
 ):
-    """The vectors m * v (or v * m) in degree d, m over the multipliers (the
-    letters by default) and v over the rows of degree d - deg m of a
-    per-degree echelon list over R^blocks (column b * h_d + t).
+    """The unit columns and the other vectors among m * v (or v * m) in
+    degree d, m over the multipliers (the letters by default) and v over a
+    basis of degree d - deg m of a span over R^blocks (column b * h_d + t).
 
-    ``ints[i]`` is None or the rows of degree i as integer rows
-    (``linalg.scaled_integer_rows``).  Where they and the images of m are
-    both integer, the multiples are integer rows formed with int products;
-    otherwise they are raw.  Either way each spans the line of m * v.
+    The span is given per degree as ``unit_forms`` lists it: the unit
+    columns ``units[i]``, the other echelon rows ``rows[i]``, and ``ints[i]``,
+    None or those rows as integer rows.  m * e_c is the image of column c:
+    a unit column when it has one term, else a vector.  Where ``ints[i]``
+    and the images of m are both integer, the multiples of the rows are
+    integer rows formed with int products; otherwise they are raw.  Either
+    way each spans the line of m * v.
     """
     field = R.field
     raw_axpy = linalg.field_axpy(field)
     h = R.dim(d)
+    unit_out = set()
     out = []
     for dm, images in _multiplier_maps(R, multipliers, left):
         lower = d - dm
-        if lower < 0 or not rows[lower]:
+        if lower < 0 or not (units[lower] or rows[lower]):
             continue
         form = images(lower)
         if form[0] is not None and ints[lower] is not None:
@@ -399,12 +403,29 @@ def letter_multiples(
         if blocks > 1:
             # m (r_b)_b = (m r_b)_b: the images, shifted into each block
             maps = [{b * h + t: v for t, v in img.items()} for b in range(blocks) for img in maps]
+        for c in units[lower]:
+            image = maps[c]
+            if len(image) == 1:
+                unit_out.update(image)
+            elif image:
+                out.append(image)
         for row in vecs:
             vec: dict = {}
             for c, a in row.items():
                 axpy(vec, a, maps[c])
             out.append(vec)
-    return out
+    return unit_out, out
+
+
+def unit_forms(R: GradedAlgebra, echelons):
+    """``(units, rows, ints)`` per degree of canonical RREFs, as
+    ``letter_multiples`` reads them: the unit form of each degree
+    (``linalg.split_units``), and its other rows as integer rows when R is
+    rational."""
+    split = [linalg.split_units(rs) for rs in echelons]
+    rows = [rs for _, rs in split]
+    ints = [linalg.scaled_integer_rows(rs) if R.rational else None for rs in rows]
+    return [u for u, _ in split], rows, ints
 
 
 def letter_closure(
@@ -423,14 +444,21 @@ def letter_closure(
     invariant ring.  The images come from the cached ``letter_images`` and
     ``multiplier_images``.
 
-    When R is rational, each finished degree's canonical rows are also
-    turned into integer rows once, each scaled by the lcm of its
-    denominators, and kept only while the closure runs; the multiples
-    m * v of rational rows by integer images are then formed in int
-    arithmetic and reach ``kernel.rref`` as integer rows.  Rows with a
-    non-rational entry, and images that are not rational, take raw
-    arithmetic.  The span of each degree, and so its echelon form, is the
-    same either way.
+    The seeds are vectors with nonzero entries, raw or integer.  Each degree
+    is built and kept in unit form (``linalg.unit_rref``): one-entry seeds,
+    and unit columns whose image under an m has one term, are unit columns
+    of T_d and never reach ``kernel.rref``; the other vectors reach it
+    minus the unit columns.  The canonical rows are joined
+    once per degree for the answer (``linalg.join_units``).  For a diagonal
+    action on a quantum affine space almost every row is a unit.
+
+    When R is rational, each finished degree's other rows are also turned
+    into integer rows once, each scaled by the lcm of its denominators, and
+    kept only while the closure runs; the multiples m * v of rational rows
+    by integer images are then formed in int arithmetic and reach
+    ``kernel.rref`` as integer rows.  Rows with a non-rational entry, and
+    images that are not rational, take raw arithmetic.  The span of each
+    degree, and so its echelon form, is the same either way.
 
     ``blocks`` is the rank of the free module R^blocks the span lives in:
     a degree d vector has column b * h_d + t for coordinate t of block b,
@@ -440,19 +468,31 @@ def letter_closure(
     either way, but most seeds then reduce against rows already placed.
     """
     field = R.field
+    units: list = []
     rows: list = []
     ints: list = []
+    out = []
     for d in range(D + 1):
+        new: set = set()
         vecs = []
-        if left:
-            vecs += letter_multiples(R, rows, ints, d, True, multipliers, blocks)
-        if right:
-            vecs += letter_multiples(R, rows, ints, d, False, multipliers, blocks)
-        vecs += seeds(d)
-        echelon = linalg.rref(field, vecs)
+        for side, on in ((True, left), (False, right)):
+            if on:
+                side_units, side_vecs = letter_multiples(
+                    R, units, rows, ints, d, side, multipliers, blocks
+                )
+                new |= side_units
+                vecs += side_vecs
+        for seed in seeds(d):
+            if len(seed) == 1:
+                new.update(seed)
+            else:
+                vecs.append(seed)
+        new, echelon = linalg.unit_rref(field, new, vecs)
+        units.append(new)
         rows.append(echelon)
         ints.append(linalg.scaled_integer_rows(echelon) if R.rational else None)
-    return rows
+        out.append(linalg.join_units(field, new, echelon))
+    return out
 
 
 def one_sided_generators(table: GradedIdealTable, left: bool, multipliers=None):
@@ -468,6 +508,11 @@ def one_sided_generators(table: GradedIdealTable, left: bool, multipliers=None):
     outside the images' pivots make them independent modulo the images, and
     there are dim T_d minus dim(images) of them.  Then T is the closure of
     the N_d under the multipliers on that side.
+
+    Both spans are read in unit form (``linalg.unit_rref``): a unit vector
+    e_c among the images lies in T_d exactly when c is a unit of T_d, a
+    subset test, and only the other images, minus the units of T_d, go
+    through ``kernel.rref`` for the containment.
 
     The answer is kept on the table (``_sided``) under the side and the
     multipliers' coordinates, so a table used as a factor of many products,
@@ -489,13 +534,18 @@ def _one_sided_generators(table: GradedIdealTable, left: bool, multipliers):
     """The body of ``one_sided_generators``, run once per table and key."""
     R = table.algebra
     field = R.field
-    ints = [linalg.scaled_integer_rows(rs) if R.rational else None for rs in table.rows]
+    units, rows, ints = unit_forms(R, table.rows)
     out = []
     for d in range(table.D + 1):
-        images = linalg.rref(field, letter_multiples(R, table.rows, ints, d, left, multipliers))
-        if not linalg.span_contains(field, images, table.rows[d]):
+        image_units, images = linalg.unit_rref(
+            field, *letter_multiples(R, units, rows, ints, d, left, multipliers)
+        )
+        if not (
+            image_units <= units[d]
+            and linalg.unit_form_contains(field, units[d], rows[d], [r for _, r in images])
+        ):
             return None
-        pivots = {p for p, _ in images}
+        pivots = image_units.union(p for p, _ in images)
         out.append([(p, row) for p, row in table.rows[d] if p not in pivots])
     return out
 

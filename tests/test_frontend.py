@@ -508,6 +508,17 @@ def test_cli_json_output_file(tmp_path):
     assert "witness" in proc.stdout
 
 
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_cli_unwritable_json_path_is_a_usage_error(tmp_path, capsys, target):
+    """A --json path in a missing directory, or one that is a directory,
+    ends with one error line and exit 1, not a traceback."""
+    path = str(tmp_path / target)
+    script = str(FIXTURES / "kx_sign.ptx")
+    code, err = _main_error(capsys, ["run", script, "--json", path])
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: cannot write %s: " % path), err
+
+
 def test_task_maxdeg_overrides_flag():
     text = (
         "field cyclotomic(2);\nalgebra R = commutative(2);\n"

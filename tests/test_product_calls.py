@@ -7,14 +7,17 @@ of each product, and the body of ``one_sided_generators`` may run at most
 once per table, side and multipliers.  Every product and group action of
 the library reads the cached letter images: nothing in ``src/pertinax``
 calls ``GradedAlgebra.product_word_vec``, the rule-based reference, and a
-benchmark ``products`` report runs with it disabled.
+benchmark ``products`` report runs with it disabled.  In that report,
+almost every row is a unit vector, and closures carry those as column sets
+(``linalg.unit_rref``): at most 10,000 one-entry rows reach ``kernel.rref``
+(87,258 when every unit was a dict through the kernel).
 """
 
 import ast
 import sys
 from pathlib import Path
 
-from pertinax import skewgroup
+from pertinax import kernel, skewgroup
 from pertinax.frontend.parser import parse
 from pertinax.frontend.runner import run
 from pertinax.galgebra import GradedAlgebra
@@ -95,20 +98,25 @@ def test_library_multiplies_through_letter_images_only():
     ]
 
 
-def test_products_report_never_calls_product_word_vec(monkeypatch):
-    """The seed-0 benchmark ``products`` report at D = 16 (radical,
-    invariants, cofinality and a quotient) with the reference disabled."""
+def _products_script(D):
+    """The seed-0 benchmark ``products`` script at degree D (radical,
+    invariants, cofinality and a quotient)."""
     sys.path.insert(0, str(BENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(BENCH))
+    return workloads.render("products", 0, D)
+
+
+def test_products_report_never_calls_product_word_vec(monkeypatch):
+    """The ``products`` report at D = 16 with the reference disabled."""
 
     def disabled(self, u, v):
         raise AssertionError("product_word_vec called")
 
     monkeypatch.setattr(GradedAlgebra, "product_word_vec", disabled)
-    report, code = run(parse(workloads.render("products", 0, 16)))
+    report, code = run(parse(_products_script(16)))
     assert code == 0
     assert [t["task"] for t in report["tasks"]] == [
         "radical",
@@ -116,3 +124,22 @@ def test_products_report_never_calls_product_word_vec(monkeypatch):
         "cofinality",
         "semisimple",
     ]
+
+
+def test_products_report_sends_few_unit_rows_to_rref(monkeypatch):
+    """The ``products`` report at D = 16: one-entry rows reaching
+    ``kernel.rref`` are counted, at most 10,000."""
+    counts = {"rows": 0, "units": 0}
+    rref = kernel.rref
+
+    def counted(rows, red, minpoly):
+        rows = list(rows)
+        counts["rows"] += len(rows)
+        counts["units"] += sum(len(row) == 1 for row in rows)
+        return rref(rows, red, minpoly)
+
+    monkeypatch.setattr(kernel, "rref", counted)
+    report, code = run(parse(_products_script(16)))
+    assert code == 0
+    assert counts["rows"] > 0
+    assert counts["units"] <= 10_000, counts
