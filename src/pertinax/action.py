@@ -10,7 +10,6 @@ for graded presentations is a complete automorphism check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import kernel, linalg
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     TrivialGroupRejected,
 )
 from .freealgebra import FreePoly
-from .galgebra import AlgElement, GradedAlgebra, letter_images
+from .galgebra import AlgElement, GradedAlgebra, substitution_images
 
 DEFAULT_MAX_ORDER = 64
 
@@ -113,86 +112,15 @@ class LinearAuto:
         ``(None, raw_cols)``.  The form is cached on the algebra per matrix
         and degree and must not be edited.
 
-        It is built by recursion on the first letter.  A basis word of
-        degree d >= 1 is w = x w' with x a letter, and w' = w[1:] is again a
-        basis word: the basis is the set of normal words, those with no
-        leading word of the Groebner basis as a subword, and a subword of a
-        subword of w is a subword of w.  Then
-
-            g(w) = g(x) g(w') = sum_y M[y][x] y g(w'),
-
-        y over the letters with M[y][x] != 0 (all of the degree of x), and
-        y g(w') = sum_t g(w')_t y t, from the columns of degree d - deg x
-        and the cached left ``letter_images`` of y in that degree.  Each
-        lower degree's columns are fetched once, and each y g(w') is formed
-        once per degree.
+        It is the letter recursion ``substitution_images`` with g(1) = 1
+        and the coefficients of the matrix: g(x w') = g(x) g(w') =
+        sum_y M[y][x] y g(w'), y over the letters with M[y][x] != 0.
         """
         R = self.algebra
-        cache = R._act_cache.setdefault(("act", self.matrix), {})
-        form = cache.get(d)
-        if form is None:
-            form = self._columns(d, self.rational and R.rational)
-            cache[d] = form
-        return form
-
-    def _columns(self, d: int, integer: bool):
-        """The degree d form of ``matrix_on_degree``, integer when asked."""
-        R = self.algebra
-        field = R.field
-        if d == 0:
-            return (1, [{0: 1}]) if integer else (None, [{0: field.one.raw}])
-        if integer:
-            mden = lcm(*(c.raw[1] for row in self.matrix for c in row))
-            matrix = [[c.raw[0][0] * (mden // c.raw[1]) for c in row] for row in self.matrix]
-            axpy = kernel.int_axpy
-        else:
-            matrix = [[c.raw for c in row] for row in self.matrix]
-            axpy = linalg.field_axpy(field)
-        degs = R.alphabet.degrees
-        lower_cols: dict = {}  # lower degree -> its columns
-        by_letter: dict = {}  # x -> (lower degree, den, [(y, coefficient, images of y)])
-        memo: dict = {}  # (y, j) -> y g(w'), w' the j-th word of the lower degree
-        cols, dens = [], []
-        for w in R.basis.words[d]:
-            x = w[0]
-            entry = by_letter.get(x)
-            if entry is None:
-                lower = d - degs[x]
-                if lower not in lower_cols:
-                    lower_cols[lower] = self.matrix_on_degree(lower)
-                ys = [y for y in range(R.ngens) if self.matrix[y][x]]
-                forms = [letter_images(R, y, lower, True) for y in ys]
-                if integer:
-                    # common denominator: M / mden, lower columns, letter images
-                    den_l = lcm(*(den for den, _ in forms))
-                    den = mden * lower_cols[lower][0] * den_l
-                    coefs = [matrix[y][x] * (den_l // f[0]) for y, f in zip(ys, forms)]
-                    images = [f[1] for f in forms]
-                else:
-                    den = None
-                    coefs = [matrix[y][x] for y in ys]
-                    images = [linalg.raw_vectors(f, field) for f in forms]
-                entry = by_letter[x] = (lower, den, list(zip(ys, coefs, images)))
-            lower, den, terms = entry
-            j = R.basis.index[lower][w[1:]]
-            lower_col = lower_cols[lower][1][j]
-            col: dict = {}
-            for y, coef, images in terms:
-                yv = memo.get((y, j))
-                if yv is None:
-                    yv = memo[y, j] = {}
-                    for t, a in lower_col.items():
-                        axpy(yv, a, images[t])
-                axpy(col, coef, yv)
-            cols.append(col)
-            dens.append(den)
-        if not integer:
-            return None, cols
-        den = lcm(*dens)
-        return den, [
-            c if cd == den else {t: v * (den // cd) for t, v in c.items()}
-            for c, cd in zip(cols, dens)
-        ]
+        M = self.matrix
+        cols = [{y: row[x].raw for y, row in enumerate(M) if row[x]} for x in range(R.ngens)]
+        subst = (linalg.integer_form(cols) if self.rational else None) or (None, cols)
+        return substitution_images(R, ("act", M), (0, {0: R.field.one.raw}), subst, d, False)
 
     def is_identity(self) -> bool:
         field = self.algebra.field

@@ -91,16 +91,16 @@ def _lex(text: str):
             continue
         if c == "(" and i + 2 < n and text[i + 1] == "z":
             j = i + 2
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j > i + 2 and j < n and text[j] == ")":
                 tokens.append(Token("ROOT", int(text[i + 2 : j]), line, col))
                 col += j + 1 - i
                 i = j + 1
                 continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", int(text[i:j]), line, col))
             col += j - i
@@ -730,6 +730,8 @@ class _Parser:
         while not self.at_punct(";"):
             ident = self.expect_ident("task argument")
             if self.at_punct("="):
+                if any(key == ident.value for key, _ in options):
+                    self.error("repeated task option %r" % ident.value, ident)
                 self.next()
                 nt = self.peek()
                 if nt.kind == "INT":

@@ -8,9 +8,12 @@ up to the truncation bound are exact.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
-from . import linalg
+from . import kernel, linalg
 from .errors import BadQMatrix, DegenerateQuotient, NotGraded, TruncationExceeded
 from .freealgebra import Alphabet, FreePoly, Word
 from .gbasis import QuotientBasis, TruncatedGB, gb_complete
@@ -224,10 +227,12 @@ def letter_images(R: GradedAlgebra, letter: int, d: int, left: bool):
 
     This is the one multiplication primitive of the library.  Ideal
     closures, the ideal check and the radical oracle multiply by letters
-    (``skewgroup.letter_closure``); products of coordinate vectors
-    (``skewgroup.vec_product``) and multiplier images apply a word one
-    letter at a time; the action matrices (``LinearAuto.matrix_on_degree``),
-    and with them ``LinearAuto.apply``, are a letter recursion over them.
+    (``skewgroup.letter_closure``), and products of coordinate vectors
+    (``skewgroup.vec_product``) apply a word one letter at a time.  The
+    action matrices (``LinearAuto.matrix_on_degree``), and with them
+    ``LinearAuto.apply``, and the multiplier images
+    (``skewgroup.multiplier_images``) are one letter recursion over them,
+    ``substitution_images``.
     """
     cache = R._act_cache.setdefault(("letter", letter, left), {})
     images = cache.get(d)
@@ -241,6 +246,102 @@ def letter_images(R: GradedAlgebra, letter: int, d: int, left: bool):
         images = (linalg.integer_form(raw) if R.rational else None) or (None, raw)
         cache[d] = images
     return images
+
+
+def substitution_images(R: GradedAlgebra, key, base, subst, d: int, last: bool):
+    """The images F(w) of the degree d basis words w under the linear map
+
+        F(1) = m,    F(o w') = sum_y c_{y,o} y F(w')    (o a letter),
+
+    or, when ``last``, F(w' o) = sum_y c_{y,o} F(w') y.  ``base`` gives m
+    as ``(degree, coordinates)``, and ``subst`` the coefficients as a map
+    form (``linalg``) whose column o is {y: c_{y,o}}, or None for c = 1 on
+    the diagonal.  A group element g acts so, with m = 1 and c its matrix:
+    g(o w') = g(o) g(w').  Right (or left) multiplication by m is the case
+    c = 1: m (w' o) = (m w') o, and (o w') m = o (w' m).
+
+    w' is a basis word again: the basis is the set of normal words, those
+    with no leading word of the Groebner basis as a subword, and a subword
+    of a subword of w is a subword of w.  So F on degree d is read off F on
+    the lower degrees and the cached left (right, when ``last``)
+    ``letter_images`` of the y.  The images are cached on the algebra under
+    ``key``, per degree, as a map form over the basis of degree d + deg m:
+    integer exactly when m, the c's and the letter images are, with one
+    denominator per degree.  m's own form is built on a cache miss only.
+    """
+    cache = R._act_cache.setdefault(key, {})
+    form = cache.get(d)
+    if form is None:
+        form = cache[d] = _substitute(R, key, base, subst, d, last)
+    return form
+
+
+def _substitute(R: GradedAlgebra, key, base, subst, d: int, last: bool):
+    """The degree d form of ``substitution_images``, from the lower degrees.
+
+    A letter o whose column has one term adds c a (y image) for each entry
+    a of F(w'), with no intermediate vector.  Otherwise y F(w') is formed
+    once per y and lower word and shared by the letters whose column holds y.
+    """
+    field = R.field
+    dm, coords = base
+    sden, cols = subst or (1, [{o: 1} for o in range(R.ngens)])
+    if d == 0:
+        raw = [dict(coords)]
+        integer = R.rational and sden is not None
+        return (linalg.integer_form(raw) if integer else None) or (None, raw)
+    words = R.basis.words[d]
+    degrees = R.alphabet.degrees
+    parts = {}  # outer letter o -> (lower degree, F on it, [(y, c_{y,o}, images of y)])
+    for w in words:
+        o = w[-1] if last else w[0]
+        if o not in parts:
+            lower = d - degrees[o]
+            lform = substitution_images(R, key, base, subst, lower, last)
+            images = [
+                (y, c, letter_images(R, y, dm + lower, not last)) for y, c in cols[o].items()
+            ]
+            parts[o] = (lower, lform, images)
+    integer = sden is not None and all(
+        lf[0] is not None and all(f[0] is not None for _, _, f in images)
+        for _, lf, images in parts.values()
+    )
+    if integer:
+        # one denominator: the c's carry the scale of their term to it
+        den = lcm(*(sden * lf[0] * f[0] for _, lf, images in parts.values() for _, _, f in images))
+        for o, (lower, (lden, lvecs), images) in parts.items():
+            terms = [(y, c * (den // (sden * lden * f[0])), f[1]) for y, c, f in images]
+            parts[o] = (lower, lvecs, terms)
+        axpy, mul = kernel.int_axpy, operator.mul
+    else:
+        den = None
+        raw_cols = linalg.raw_vectors((sden, cols), field)
+        for o, (lower, lform, images) in parts.items():
+            terms = [(y, raw_cols[o][y], linalg.raw_vectors(f, field)) for y, _, f in images]
+            parts[o] = (lower, linalg.raw_vectors(lform, field), terms)
+        axpy, mul = linalg.field_axpy(field), partial(kernel.q_mul, red=field.red)
+    index = R.basis.index
+    memo: dict = {}  # (y, j) -> y F(w'), w' the j-th word of degree d - deg y
+    vecs = []
+    for w in words:
+        o, rest = (w[-1], w[:-1]) if last else (w[0], w[1:])
+        lower, lvecs, terms = parts[o]
+        j = index[lower][rest]
+        vec: dict = {}
+        if len(terms) == 1:
+            [(_, c, images)] = terms
+            for t, a in lvecs[j].items():
+                axpy(vec, mul(c, a), images[t])
+        else:
+            for y, c, images in terms:
+                yv = memo.get((y, j))
+                if yv is None:
+                    yv = memo[y, j] = {}
+                    for t, a in lvecs[j].items():
+                        axpy(yv, a, images[t])
+                axpy(vec, c, yv)
+        vecs.append(vec)
+    return den, vecs
 
 
 # -- constructors -----------------------------------------------------------

@@ -9,9 +9,11 @@ are no "maybe" answers below the truncation bound.
 ``TruncatedGB.nf_word`` rewrites one word to normal form.  It serves the
 normal forms of free polynomials (parsed relations and elements, and
 ``AlgElement`` arithmetic), the letter images x w and w x of the basis
-words, from which ``galgebra.letter_images`` builds every product of
-coordinate vectors and every group action, and the automorphism check of
+words (``galgebra.letter_images``), and the automorphism check of
 ``LinearAuto``, which must reduce relations above the truncation degree.
+Every product of coordinate vectors is built from the letter images, and
+so are the group actions and the multiplier images, by the one letter
+recursion ``galgebra.substitution_images``.
 """
 
 from __future__ import annotations

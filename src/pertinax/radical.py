@@ -240,18 +240,8 @@ def gen_translate_product(G: FiniteGroup, elems) -> PertinentPair:
     for e in elems:
         if not is_central(e):
             raise NotCentral("element %s is not central within the truncation" % e)
-    R = G.algebra
-    translated = [G.elements[i + 1].apply(e) for i, e in enumerate(elems)]
-    left, right = [], []
-    for s in range(n):
-        for subset in combinations(range(n - 1), s):
-            skip = set(subset)
-            left.append(_hat_product(R, translated, skip))
-            prod = R.one()
-            for i in subset:
-                prod = prod * elems[i]
-            right.append(prod if s % 2 == 0 else -prod)
-    return verify_pertinent(left, right, G)
+    one = G.algebra.field.one
+    return _subset_pair(G, elems, {(i, j): one for i in range(n - 1) for j in range(i + 1, n - 1)})
 
 
 def gen_qcommuting_product(G: FiniteGroup, elems, q) -> PertinentPair:
@@ -283,13 +273,27 @@ def gen_qcommuting_product(G: FiniteGroup, elems, q) -> PertinentPair:
         for g in G.elements[1:]:
             if eigenvalue_of(g, e) is None:
                 raise NotEigen("element %s is not a common eigenvector" % e)
+    return _subset_pair(G, elems, qmat)
+
+
+def _subset_pair(G: FiniteGroup, elems, qmat) -> PertinentPair:
+    """The signed subset pair of ``gen_qcommuting_product`` for the scalars
+    ``qmat[(i, j)]``, i < j; all of them 1 for ``gen_translate_product``.
+
+    Over the subsets S of the positions, the left factor is the ascending
+    product of the translates g_i(a_i) with i not in S, and the right one
+    (-1)^|S| times the product of the q_kj (k in S, j > k not in S) and
+    the a_i with i in S.
+    """
+    R = G.algebra
+    n = G.order
     translated = [G.elements[i + 1].apply(e) for i, e in enumerate(elems)]
     left, right = [], []
     for s in range(n):
         for subset in combinations(range(n - 1), s):
             skip = set(subset)
             left.append(_hat_product(R, translated, skip))
-            weight = field.one
+            weight = R.field.one
             for k in subset:
                 for j in range(k + 1, n - 1):
                     if j not in skip:

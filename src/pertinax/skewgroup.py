@@ -29,7 +29,7 @@ from math import lcm
 from . import kernel, linalg
 from .action import FiniteGroup
 from .errors import TruncationExceeded
-from .galgebra import AlgElement, GradedAlgebra, letter_images
+from .galgebra import AlgElement, GradedAlgebra, letter_images, substitution_images
 
 
 class GradedIdealTable:
@@ -298,63 +298,13 @@ def multiplier_images(R: GradedAlgebra, multiplier, d: int, left: bool):
     are cached on the algebra under the coordinates of m, in one form like
     ``letter_images``: integer when R and the coordinates of m are rational.
 
-    They are built by a letter recursion from the images of lower degrees.
-    Write a degree d >= 1 basis word as w = w' y with y its last letter;
-    then m w = (m w') y, the image of w' (degree d - deg y) times y on the
-    right, read off the cached right ``letter_images`` of y.  Mirrored,
-    w = y w'' and w m = y (w'' m) by the left images of y.  w' and w'' are
-    basis words again: a word is normal when no leading word of the
-    Groebner basis occurs in it, and then none occurs in any subword.
-    Degree 0 is m itself.
+    They are the letter recursion ``substitution_images`` with F(1) = m and
+    every coefficient 1: m (w' y) = (m w') y by the right letter images of
+    y, the last letter of w, and mirrored (y w'') m = y (w'' m) by the left
+    images of its first letter.
     """
-    cache = R._act_cache.setdefault(("multiplier", *_multiplier_key(multiplier), left), {})
-    images = cache.get(d)
-    if images is not None:
-        return images
-    if d == 0:
-        raw = [dict(multiplier[1])]
-        images = (linalg.integer_form(raw) if R.rational else None) or (None, raw)
-    else:
-        images = _recursive_images(R, multiplier, d, left)
-    cache[d] = images
-    return images
-
-
-def _recursive_images(R: GradedAlgebra, multiplier, d: int, left: bool):
-    """The images of ``multiplier_images`` in degree d >= 1, from lower degrees:
-    m (w' y) = (m w') y when ``left``, (y w'') m = y (w'' m) otherwise."""
-    dm = multiplier[0]
-    field = R.field
-    degrees = R.alphabet.degrees
-    parts = {}  # letter y -> (images of the lower words, images of y)
-    for y, dy in enumerate(degrees):
-        if dy <= d:
-            lower = multiplier_images(R, multiplier, d - dy, left)
-            parts[y] = (lower, letter_images(R, y, dm + d - dy, not left))
-    integer = all(a[0] is not None and b[0] is not None for a, b in parts.values())
-    if integer:
-        den = lcm(1, *(a[0] * b[0] for a, b in parts.values()))
-        axpy = kernel.int_axpy
-    else:
-        parts = {
-            y: ((None, linalg.raw_vectors(a, field)), (None, linalg.raw_vectors(b, field)))
-            for y, (a, b) in parts.items()
-        }
-        den, axpy = None, linalg.field_axpy(field)
-    index = R.basis.index
-    vecs = []
-    for w in R.basis.words[d]:
-        y = w[-1] if left else w[0]
-        (lden, lower), (yden, ymaps) = parts[y]
-        rest = w[:-1] if left else w[1:]
-        vec: dict = {}
-        for c, a in lower[index[d - degrees[y]][rest]].items():
-            axpy(vec, a, ymaps[c])
-        if integer and lden * yden != den:
-            scale = den // (lden * yden)
-            vec = {c: a * scale for c, a in vec.items()}
-        vecs.append(vec)
-    return den, vecs
+    key = ("multiplier", *_multiplier_key(multiplier), left)
+    return substitution_images(R, key, multiplier, None, d, left)
 
 
 def _multiplier_maps(R: GradedAlgebra, multipliers, left: bool):
@@ -687,12 +637,7 @@ def oracle_radical(R: GradedAlgebra, G: FiniteGroup, D: int | None = None) -> Gr
 
 
 def intersect_with_invariants(table: GradedIdealTable, invariant_rows) -> GradedIdealTable:
-    """Degree-wise intersection of a table with per-degree invariant bases."""
-    R = table.algebra
-    field = R.field
-    rows = []
-    for d in range(table.D + 1):
-        rows.append(
-            linalg.intersect_rows(field, table.rows[d], invariant_rows[d], R.dim(d))
-        )
-    return GradedIdealTable(R, table.D, rows, table.tag)
+    """Degree-wise intersection of a table with per-degree invariant bases,
+    with the table's tag."""
+    invariants = GradedIdealTable(table.algebra, table.D, invariant_rows, table.tag)
+    return table.intersect(invariants)

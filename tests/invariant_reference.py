@@ -5,9 +5,10 @@ the group.  This module solves that linear system: the columns of the
 stacked map, of width (|G| - 1) h_d, go to ``linalg.kernel_rows``.
 ``pertinax.invariantring.invariants_basis`` takes the image of the
 Reynolds operator instead, so the two agree only if that image is the
-whole fixed space.  The action columns come from ``LinearAuto.apply`` on
-each basis word, not from ``matrix_on_degree``, which the library builds by
-its own recursion.
+whole fixed space.  The action columns are products of the images of the
+letters, multiplied as algebra elements (normal forms by the rewriting
+rules), not read from ``matrix_on_degree`` or ``LinearAuto.apply``, which
+the library builds by its letter recursion.
 """
 
 from pertinax import kernel, linalg
@@ -21,9 +22,21 @@ def fixed_space_rows(R, G, D=None):
 
 
 def action_columns(g, d):
-    """Raw coordinates of g(w) for the degree d basis words w, by ``apply``."""
+    """Raw coordinates of g(w) for the degree d basis words w: g(x1 ... xk)
+    is the product g(x1) ... g(xk) of the letter images sum_y M[y][x] y."""
     R = g.algebra
-    return [R.coords(g.apply(R.from_word(w)), d) for w in R.basis_words(d)]
+    n = R.ngens
+
+    def letter(x):  # only letters of degree <= d, which R holds
+        return sum((g.matrix[y][x] * R.gen(y) for y in range(n) if g.matrix[y][x]), R.zero())
+
+    columns = []
+    for w in R.basis_words(d):
+        image = R.one()
+        for x in w:
+            image = image * letter(x)
+        columns.append(R.coords(image, d))
+    return columns
 
 
 def _fixed_component(R, G, d):

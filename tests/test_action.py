@@ -14,9 +14,11 @@ from pertinax.errors import (
     NotFiniteWithinBound,
     TrivialGroupRejected,
 )
+from pertinax.freealgebra import Alphabet, FreePoly
 from pertinax.galgebra import (
     make_commutative,
     make_downup,
+    make_presentation,
     make_quantum_affine,
     make_skew_symmetric,
 )
@@ -156,12 +158,26 @@ def linear_actions(draw):
 
     Dense invertible integer (and sometimes fractional) matrices on
     k[x,y,z], signed permutations on the skew 3-space, a diagonal zeta_3
-    action (non-rational) on either, and rational diagonal actions on the
+    action (non-rational) on either, rational diagonal actions on the
     quantum plane yx = q xy with q = 1/2 or -2/3, whose letter images carry
-    denominators.
+    denominators, and on commutative x, y, z of degrees 1, 2, 2 a rational
+    or a zeta_6 matrix that mixes y and z, where a word's tail lies two
+    degrees down when it starts with y or z.
     """
-    kind = draw(st.sampled_from(("dense", "signed", "diagonal", "quantum")))
+    kind = draw(st.sampled_from(("dense", "signed", "diagonal", "quantum", "weighted")))
     D = draw(st.integers(0, 5))
+    if kind == "weighted":
+        field = cyclotomic_field(6)
+        alphabet = Alphabet(["x", "y", "z"], [1, 2, 2])
+        x, y, z = (FreePoly.gen(alphabet, field, i) for i in range(3))
+        rels = [y * x - x * y, z * x - x * z, z * y - y * z]
+        R = make_presentation(field, ["x", "y", "z"], rels, D, degrees=[1, 2, 2])
+        if draw(st.booleans()):
+            matrix = [[2, 0, 0], [0, 1, Fraction(1, 2)], [0, -3, 1]]
+        else:
+            zeta = field.zeta()
+            matrix = [[zeta, 0, 0], [0, zeta**2, 1], [0, 1, zeta]]
+        return LinearAuto(R, matrix), D
     if kind == "quantum":
         q = draw(st.sampled_from((Fraction(1, 2), Fraction(-2, 3))))
         R = make_quantum_affine(cyclotomic_field(2), [[1, q], [1 / q, 1]], D)

@@ -519,6 +519,30 @@ def test_cli_unwritable_json_path_is_a_usage_error(tmp_path, capsys, target):
     assert len(err) == 1 and err[0].startswith("error: cannot write %s: " % path), err
 
 
+
+@pytest.mark.parametrize("command", [["check"], ["run"]])
+def test_cli_repeated_task_option_is_a_parse_error(tmp_path, capsys, command):
+    """A task option given twice is refused, not silently replaced by the
+    last value: ``check`` and ``run`` both end with one error line, exit 1."""
+    script = tmp_path / "s.ptx"
+    script.write_text(
+        "field cyclotomic(2);\nalgebra R = commutative(2);\n"
+        "group G = matrices { s: [[0,1],[1,0]]; };\n"
+        "task radical R G maxdeg=3 maxdeg=5;\n"
+    )
+    code, err = _main_error(capsys, command + [str(script)])
+    assert code == 1 and err == ["error: 4:27: repeated task option 'maxdeg'"]
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "x = 2\u00b3;", "(z\u00b2)"])
+def test_cli_non_ascii_digits_are_a_parse_error(tmp_path, capsys, text):
+    """Superscript digits count as digits for ``str.isdigit`` but not for
+    ``int``: a script with them ends with one parse error line, exit 1."""
+    script = tmp_path / "s.ptx"
+    script.write_text(text, encoding="utf-8")
+    code, err = _main_error(capsys, ["check", str(script)])
+    assert code == 1 and len(err) == 1 and err[0].startswith("error: 1:"), err
+
 def test_task_maxdeg_overrides_flag():
     text = (
         "field cyclotomic(2);\nalgebra R = commutative(2);\n"

@@ -7,7 +7,9 @@ of each product, and the body of ``one_sided_generators`` may run at most
 once per table, side and multipliers.  Every product and group action of
 the library reads the cached letter images: nothing in ``src/pertinax``
 calls ``GradedAlgebra.product_word_vec``, the rule-based reference, and a
-benchmark ``products`` report runs with it disabled.  In that report,
+benchmark ``products`` report runs with it disabled.  Outside ``galgebra``,
+only ``skewgroup`` reads ``letter_images`` directly; the action matrices
+and multiplier images read them through ``substitution_images``.  In that report,
 almost every row is a unit vector, and closures carry those as column sets
 (``linalg.unit_rref``): at most 10,000 one-entry rows reach ``kernel.rref``
 (87,258 when every unit was a dict through the kernel).
@@ -97,6 +99,33 @@ def test_library_multiplies_through_letter_images_only():
         "def apply_poly",
     ]
 
+
+
+def _letter_image_references(tree):
+    """Imports, names and attributes ``letter_images`` in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += ["import" for a in node.names if a.name == "letter_images"]
+        elif isinstance(node, ast.Name) and node.id == "letter_images":
+            found.append("name")
+        elif isinstance(node, ast.Attribute) and node.attr == "letter_images":
+            found.append("attribute")
+    return found
+
+
+def test_letter_images_are_read_by_galgebra_and_skewgroup_only():
+    """The action matrices and the multiplier images read the letter images
+    through ``galgebra.substitution_images``; only the closures and
+    ``vec_product`` in ``skewgroup`` read them directly."""
+    users = {
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if _letter_image_references(ast.parse(path.read_text()))
+    }
+    assert users == {"galgebra.py", "skewgroup.py"}
+    bad = "from .galgebra import letter_images\ngalgebra.letter_images(R, 0, 1, True)\n"
+    assert sorted(_letter_image_references(ast.parse(bad))) == ["attribute", "import"]
 
 def _products_script(D):
     """The seed-0 benchmark ``products`` script at degree D (radical,
